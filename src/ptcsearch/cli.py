@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import yaml
 
-from .errors import PtcError
+from .errors import ConfigError, PtcError
 from .netlist import (
     atomic_write_text,
     config_hash,
@@ -27,6 +27,7 @@ from .search import SearchConfig, SearchSchedule, run_search
 from .tasks import (
     MatrixFitTask,
     NoiseModel,
+    check_phase_sigma,
     load_dataset,
     random_unitary,
     robustness_sweep,
@@ -122,6 +123,18 @@ def cmd_search(args):
     return 0
 
 
+def _parse_sigma_grid(text):
+    """Comma-separated phase sigmas, each finite and nonnegative."""
+    sigmas = []
+    for item in text.split(","):
+        try:
+            sigma = float(item)
+        except ValueError:
+            raise ConfigError(f"--sigma-grid entry {item!r} is not a number") from None
+        sigmas.append(check_phase_sigma(sigma))
+    return sigmas
+
+
 def cmd_eval(args):
     doc = read_netlist(args.netlist)
     topology = doc_to_topology(doc)
@@ -132,7 +145,7 @@ def cmd_eval(args):
     else:
         task_doc = {"kind": "matrix_fit", "target": "random_unitary"}
     task = _build_task(task_doc, topology.k, np.random.default_rng(args.seed + 1))
-    sigmas = [float(s) for s in args.sigma_grid.split(",")]
+    sigmas = _parse_sigma_grid(args.sigma_grid)
     noise = NoiseModel(phase_sigma=args.train_sigma)
     mesh, metrics = variation_aware_train(topology, task, noise,
                                           steps=args.train_steps, rng=rng)

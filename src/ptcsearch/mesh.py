@@ -52,20 +52,51 @@ def ps_apply(phi, x):
     return np.exp(-1j * phi) * x
 
 
-def coupler_matrix(t_values, k: int, offset: int) -> np.ndarray:
-    """Block-diagonal transfer of a coupler column starting at waveguide offset."""
-    t_values = np.asarray(t_values, dtype=float)
-    slots = n_coupler_slots(k, offset)
-    if t_values.shape[0] != slots:
+def _slot_index(k: int, offsets):
+    """Flat coupler-slot indices of a column stack: for every slot of every
+    block, its block b and its first waveguide a (the pair is a, a + 1).
+    Also returns the per-block slot counts."""
+    offsets = np.asarray(offsets, dtype=int)
+    counts = (k - offsets) // 2
+    blk = np.repeat(np.arange(offsets.shape[0]), counts)
+    first = np.cumsum(counts) - counts
+    a = offsets[blk] + 2 * (np.arange(blk.shape[0]) - first[blk])
+    return blk, a, counts
+
+
+def _split_slots(flat, counts):
+    """Per-block views of a flat per-slot array, given the slot counts."""
+    ends = np.cumsum(counts).tolist()
+    return [flat[end - n:end] for n, end in zip(counts, ends)]
+
+
+def coupler_matrix(t_values, k: int, offset) -> np.ndarray:
+    """Block-diagonal transfer of a coupler column starting at waveguide offset.
+
+    With a sequence of offsets and a matching sequence of per-block
+    transmission vectors, returns the (B, K, K) stack of all the columns,
+    built by one scatter over the flat slot indices.
+    """
+    stacked = np.ndim(offset) > 0
+    offsets = list(offset) if stacked else [offset]
+    per_block = [np.asarray(t, dtype=float) for t in t_values] if stacked \
+        else [np.asarray(t_values, dtype=float)]
+    blk, a, counts = _slot_index(k, offsets)
+    if len(per_block) != len(offsets) or \
+            [t.shape[0] for t in per_block] != counts.tolist():
         raise DomainError("transmission vector length does not match K and offset")
-    mat = np.eye(k, dtype=complex)
-    cross = np.sqrt(np.maximum(1.0 - t_values ** 2, 0.0))
-    a = offset + 2 * np.arange(slots)
-    mat[a, a] = t_values
-    mat[a + 1, a + 1] = t_values
-    mat[a, a + 1] = 1j * cross
-    mat[a + 1, a] = 1j * cross
-    return mat
+    t = np.concatenate(per_block)
+    cross = 1j * np.sqrt(np.maximum(1.0 - t ** 2, 0.0))
+    mat = np.zeros((len(offsets), k * k), dtype=complex)
+    mat[:, ::k + 1] = 1.0
+    flat = mat.reshape(-1)
+    aa = (blk * k + a) * k + a          # flat index of entry (b, a, a)
+    flat[aa] = t
+    flat[aa + k + 1] = t
+    flat[aa + 1] = cross
+    flat[aa + k] = cross
+    mat = mat.reshape(len(offsets), k, k)
+    return mat if stacked else mat[0]
 
 
 def dc_apply(t, offset, x, binarize=False):
@@ -200,8 +231,8 @@ class MeshGrads:
 
     phi: np.ndarray       # (P, Q, B, K)
     sigma: np.ndarray     # (P, Q, K)
-    t_latent: list        # per block, (slots,)
-    p_raw: np.ndarray     # (B, K, K)
+    t_latent: list        # per block, (slots,); None when couplers are frozen
+    p_raw: np.ndarray     # (B, K, K); None when permutations are frozen
     m: np.ndarray         # (B, 2) cotangents on the sampled gate weights
 
 
@@ -289,7 +320,9 @@ class SuperMesh:
         return g_theta
 
     def coupler_tq(self):
-        return [quantize_coupler(t) for t in self.t_latent]
+        """Binarized transmissions, one array per block (views of one array)."""
+        return _split_slots(quantize_coupler(np.concatenate(self.t_latent)),
+                            [t.shape[0] for t in self.t_latent])
 
     def perm_tildes(self):
         return list(reparametrize(self.p_raw, self.epsilon)[0])
@@ -314,25 +347,30 @@ class SuperMesh:
         """Per-block (n_dc, n_cr) using binarized couplers and hard perms.
 
         p_tildes: the (B, K, K) relaxed permutations, if the caller already
-        has them.
+        has them. Blocks whose row argmax is already a permutation skip the
+        greedy estimate; all crossings are counted by one call.
         """
         from .pdk import count_crossings
         if p_tildes is None:
             p_tildes = reparametrize(self.p_raw, self.epsilon)[0]
-        counts = []
-        for b in range(self.n_blocks):
-            n_dc = int(np.sum(self.t_latent[b] < 0.0))
-            n_cr = count_crossings(self.hard_perm_estimate(p_tildes[b]))
-            counts.append((n_dc, n_cr))
-        return counts
+        hard = np.argmax(p_tildes, axis=-1)
+        legal = np.all(np.sort(hard, axis=-1) == np.arange(self.k), axis=-1)
+        for b in np.flatnonzero(~legal):
+            hard[b] = self.hard_perm_estimate(p_tildes[b])
+        n_cr = count_crossings(hard)
+        n_dc = [int(np.count_nonzero(t < 0.0)) for t in self.t_latent]
+        return list(zip(n_dc, n_cr.tolist()))
 
     # -- forward / backward -------------------------------------------------
     #
-    # All P x Q tiles run at once: each U/V chain is held as a (P, Q, K, K)
-    # stack, so the Python loops run over blocks only. A block's transfer in
-    # tile (p, q) is A = (P~_b T_b) * r[p, q, b][None, :] with r = exp(-j phi);
-    # the relaxed permutations P~ (one batched reparametrize) and the products
-    # P~_b T_b are formed once per pass and shared by every tile.
+    # All P x Q tiles and all B blocks run at once. One batched reparametrize
+    # gives the relaxed permutations P~, one coupler_matrix call the (B, K, K)
+    # coupler columns T, and every block transfer is formed as one stack
+    # A[p, q, b] = (P~_b T_b) * r[p, q, b][None, :] with r = exp(-j phi). The
+    # Python loops run over the blocks of each U/V chain and hold only the
+    # chain matmuls; every per-block cotangent is reduced after the loop by
+    # one batched expression. Frozen groups (perms_trainable or
+    # couplers_trainable false) get no cotangent at all.
 
     def forward(self, m_weights, binarize=True, phi_noise=None):
         """Assemble the full complex weight matrix.
@@ -346,16 +384,18 @@ class SuperMesh:
         m_weights = np.asarray(m_weights)
         phi_eff = self.phi if phi_noise is None else self.phi + phi_noise
         r = np.exp(-1j * phi_eff)                          # (P, Q, B, K)
-        t_effs = [quantize_coupler(t) if binarize else np.asarray(t, dtype=float)
-                  for t in self.t_latent]
-        t_mats = np.stack([coupler_matrix(t, k, off)
-                           for t, off in zip(t_effs, self.offsets)])
+        t_effs = self.coupler_tq() if binarize else \
+            [np.asarray(t, dtype=float) for t in self.t_latent]
+        t_mats = coupler_matrix(t_effs, k, self.offsets)   # (B, K, K)
         p_tildes, p_cache = reparametrize(self.p_raw, self.epsilon)
-        pt_t = p_tildes @ t_mats                           # (B, K, K)
+        pt_t = p_tildes @ t_mats
+        amats = pt_t * r[..., None, :]                     # (P, Q, B, K, K)
+        mats = m_weights[:, 0, None, None] * np.eye(k) + \
+            m_weights[:, 1, None, None] * amats
 
-        chains = {"u": self._chain_forward(self.u_block_ids(), m_weights, pt_t, r),
-                  "v": self._chain_forward(self.v_block_ids(), m_weights, pt_t, r)}
-        u_raw, v_raw = chains["u"]["raw"], chains["v"]["raw"]
+        chains = {"u": self._chain_forward(self.u_block_ids(), mats),
+                  "v": self._chain_forward(self.v_block_ids(), mats)}
+        u_raw, v_raw = chains["u"][-1], chains["v"][-1]
         u_norms = np.sqrt(np.sum(np.abs(u_raw) ** 2, axis=-1, keepdims=True))
         v_norms = np.sqrt(np.sum(np.abs(v_raw) ** 2, axis=-2, keepdims=True))
         if np.any(u_norms < 1e-150) or np.any(v_norms < 1e-150):
@@ -365,34 +405,33 @@ class SuperMesh:
         w_tiles = u_n @ (self.sigma[..., :, None] * v_n)
         w_pad = w_tiles.transpose(0, 2, 1, 3).reshape(self.p_tiles * k,
                                                       self.q_tiles * k)
-        cache = {"shared": [{"t_eff": t, "p_tilde": pt}
-                            for t, pt in zip(t_effs, p_tildes)],
-                 "p_tildes": p_tildes, "p_cache": p_cache, "t_mats": t_mats,
-                 "pt_t": pt_t, "r": r, "chains": chains,
+        cache = {"shared": [{"p_tilde": pt} for pt in p_tildes],
+                 "p_tildes": p_tildes, "p_cache": p_cache, "t_effs": t_effs,
+                 "t_mats": t_mats, "pt_t": pt_t, "r": r, "mats": mats,
+                 "amats": amats, "chains": chains,
                  "u_norms": u_norms, "v_norms": v_norms, "u_n": u_n, "v_n": v_n,
                  "m": m_weights, "binarize": binarize}
         return w_pad[: self.m_rows, : self.n_cols], cache
 
-    def _chain_forward(self, ids, m_weights, pt_t, r):
-        """Gated product of the blocks `ids` over all tiles. Keeps each block
-        factor, its transfer A and the product of the blocks before it."""
-        eye = np.eye(self.k, dtype=complex)
-        cum = np.broadcast_to(eye, r.shape[:2] + eye.shape)
-        mats, amats, partials = [], [], [cum]
+    def _chain_forward(self, ids, mats):
+        """Partial products of the gated block factors `ids` over all tiles:
+        entry i is the product of the first i blocks, the last is the chain."""
+        cum = np.broadcast_to(np.eye(self.k, dtype=complex), mats.shape[:2] +
+                              (self.k, self.k))
+        partials = [cum]
         for b in ids:
-            a = pt_t[b] * r[:, :, b, None, :]
-            m1, m2 = m_weights[b]
-            mat = m1 * eye + m2 * a
-            cum = mat @ cum
-            mats.append(mat)
-            amats.append(a)
+            cum = mats[:, :, b] @ cum
             partials.append(cum)
-        return {"mats": mats, "amats": amats, "partials": partials, "raw": cum}
+        return partials
 
     def backward(self, cache, g_w, extra_ptilde=None, extra_tq=None):
         """Reverse pass. g_w is the cotangent of the truncated weight matrix;
         extra_ptilde / extra_tq are per-block cotangents injected on the
-        relaxed permutations and binarized transmissions (ALM, proxy)."""
+        relaxed permutations and binarized transmissions (ALM, proxy).
+
+        The p_raw (t_latent) gradient is None when the mesh holds its
+        permutations (couplers) frozen; extra_ptilde (extra_tq) is then unused.
+        """
         k = self.k
         m_weights = cache["m"]
         g_w_pad = np.zeros((self.p_tiles * k, self.q_tiles * k), dtype=complex)
@@ -406,56 +445,57 @@ class SuperMesh:
         g_sigma = np.sum((g_dv * v_n.conj()).real, axis=-1)
         chains = cache["chains"]
         g_chains = {
-            "u": _normalize_backward(chains["u"]["raw"], cache["u_norms"],
+            "u": _normalize_backward(chains["u"][-1], cache["u_norms"],
                                      g_un, axis=-1),
-            "v": _normalize_backward(chains["v"]["raw"], cache["v_norms"],
+            "v": _normalize_backward(chains["v"][-1], cache["v_norms"],
                                      sig * g_dv, axis=-2),
         }
 
-        r, pt_t = cache["r"], cache["pt_t"]
-        p_tildes, t_mats = cache["p_tildes"], cache["t_mats"]
-        g_phi = np.zeros_like(self.phi)
-        g_m = np.zeros((self.n_blocks, 2))
-        g_t_mat = np.zeros_like(t_mats)
-        g_ptilde = np.zeros_like(p_tildes)
+        # g_mats[p, q, b]: cotangent on block b's gated factor in tile (p, q)
+        mats, amats = cache["mats"], cache["amats"]
+        g_mats = np.empty_like(amats)
         for name, ids in (("u", self.u_block_ids()), ("v", self.v_block_ids())):
-            chain = chains[name]
+            partials = chains[name]
             g_left = g_chains[name]  # L^H g, L = product of the blocks after pos
             for pos in range(len(ids) - 1, -1, -1):
                 b = ids[pos]
-                g_mat = g_left @ _herm(chain["partials"][pos])
+                g_mats[:, :, b] = g_left @ _herm(partials[pos])
                 if pos > 0:
-                    g_left = _herm(chain["mats"][pos]) @ g_left
-                g_m[b, 0] = np.trace(g_mat, axis1=-2, axis2=-1).sum().real
-                g_m[b, 1] = np.vdot(g_mat, chain["amats"][pos]).real
-                g_a = m_weights[b][1] * g_mat
-                # the tile sum of g_A conj(r) carries every P~ and T cotangent
-                s_b = np.sum(g_a * r[:, :, b, None, :].conj(), axis=(0, 1))
-                g_ptilde[b] = (s_b @ t_mats[b].conj().T).real
-                g_t_mat[b] = p_tildes[b].T @ s_b
-                g_r = np.sum(g_a * pt_t[b].conj(), axis=-2)
-                g_phi[:, :, b] = (g_r.conj() * (-1j * r[:, :, b])).real
+                    g_left = _herm(mats[:, :, b]) @ g_left
 
-        # collapse the coupler-matrix cotangents onto the per-slot transmissions
-        g_t_latent = []
-        for b, blk in enumerate(cache["shared"]):
-            t_eff = blk["t_eff"]
-            a = self.offsets[b] + 2 * np.arange(t_eff.shape[0])
+        g_m = np.stack([np.trace(g_mats, axis1=-2, axis2=-1).sum(axis=(0, 1)).real,
+                        np.sum((g_mats.conj() * amats).real, axis=(0, 1, 3, 4))],
+                       axis=-1)
+        g_a = m_weights[:, 1, None, None] * g_mats
+        r = cache["r"]
+        g_r = np.sum(g_a * cache["pt_t"].conj(), axis=-2)
+        g_phi = (g_r.conj() * (-1j * r)).real
+        # the tile sum of g_A conj(r) carries every P~ and T cotangent
+        s = np.sum(g_a * r[..., None, :].conj(), axis=(0, 1))   # (B, K, K)
+
+        g_p_raw = None
+        if self.perms_trainable:
+            g_ptilde = (s @ _herm(cache["t_mats"])).real
+            if extra_ptilde is not None:
+                g_ptilde = g_ptilde + np.asarray(extra_ptilde)
+            g_p_raw = reparametrize_backward(cache["p_cache"], g_ptilde)
+
+        g_t_latent = None
+        if self.couplers_trainable:
+            g_t_mat = np.swapaxes(cache["p_tildes"], -1, -2) @ s
+            # collapse the coupler-column cotangents onto the slot transmissions
+            blk, a, counts = _slot_index(k, self.offsets)
+            t_eff = np.concatenate(cache["t_effs"])
             cross = np.sqrt(np.maximum(1.0 - t_eff ** 2, 0.0))
             dcross = -t_eff / np.maximum(cross, 1e-12)
-            gm = g_t_mat[b]
-            g_tq = (gm[a, a].real + gm[a + 1, a + 1].real
-                    + dcross * (gm[a, a + 1].imag + gm[a + 1, a].imag))
+            g_tq = (g_t_mat[blk, a, a].real + g_t_mat[blk, a + 1, a + 1].real
+                    + dcross * (g_t_mat[blk, a, a + 1].imag
+                                + g_t_mat[blk, a + 1, a].imag))
             if extra_tq is not None:
-                g_tq = g_tq + extra_tq[b]
+                g_tq = g_tq + np.concatenate(extra_tq)
             if cache["binarize"]:
-                g_t_latent.append(quantize_coupler_grad(g_tq))
-            else:
-                g_t_latent.append(g_tq)
-
-        if extra_ptilde is not None:
-            g_ptilde = g_ptilde + np.asarray(extra_ptilde)
-        g_p_raw = reparametrize_backward(cache["p_cache"], g_ptilde)
+                g_tq = quantize_coupler_grad(g_tq)
+            g_t_latent = _split_slots(g_tq, counts.tolist())
 
         return MeshGrads(phi=g_phi, sigma=g_sigma, t_latent=g_t_latent,
                          p_raw=g_p_raw, m=g_m)

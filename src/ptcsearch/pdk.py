@@ -132,16 +132,21 @@ class BlockBounds:
         return self.b_max // 2
 
 
-def count_crossings(perm) -> int:
-    """Inversion count of a permutation = minimum adjacent swaps to identity."""
+def count_crossings(perm):
+    """Inversion count of a permutation = minimum adjacent swaps to identity.
+
+    A (..., K) stack of permutations gives the integer array of per-row
+    counts; every row must be a permutation of 0..K-1.
+    """
     p = np.asarray(perm)
-    if p.ndim != 1:
+    if p.ndim < 1:
         raise DomainError("input is not a permutation of 0..K-1")
-    idx = np.arange(p.shape[0])
-    if not np.array_equal(np.sort(p), idx):
+    idx = np.arange(p.shape[-1])
+    if not np.all(np.sort(p, axis=-1) == idx):
         raise DomainError("input is not a permutation of 0..K-1")
-    inverted = (p[:, None] > p[None, :]) & (idx[:, None] < idx[None, :])
-    return int(np.count_nonzero(inverted))
+    inverted = (p[..., :, None] > p[..., None, :]) & (idx[:, None] < idx[None, :])
+    counts = np.count_nonzero(inverted, axis=(-2, -1))
+    return int(counts) if p.ndim == 1 else counts
 
 
 def count_couplers(t_binarized, tol: float = 1e-9) -> int:
@@ -194,10 +199,8 @@ def footprint_expected(mesh, pdk: PdkSpec, p_tildes=None) -> float:
         counts = mesh.discrete_block_counts()
     else:
         counts = mesh.discrete_block_counts(p_tildes)
-    total = 0.0
-    for p, (n_dc, n_cr) in zip(probs, counts):
-        total += p * block_footprint(pdk, mesh.k, n_dc, n_cr)
-    return float(total)
+    n_dc, n_cr = np.reshape(np.array(counts, dtype=float), (-1, 2)).T
+    return float(probs @ block_footprint(pdk, mesh.k, n_dc, n_cr))
 
 
 @dataclass
@@ -223,17 +226,20 @@ def footprint_proxy(mesh, pdk: PdkSpec, penalty: PenaltyConfig, p_tildes=None):
     k = mesh.k
     diff = np.asarray(p_tildes, dtype=float) - np.eye(k)
     cr_terms = penalty.beta_cr * np.sum(diff * diff, axis=(-2, -1)) * pdk.f_cr
-    n = len(probs)
-    value = 0.0
-    d_keep = np.zeros(n)
-    d_tq = []
-    for b in range(n):
-        f_prox = k * pdk.f_ps + dc_count_diff(tqs[b]) * pdk.f_dc + cr_terms[b]
-        value += probs[b] * f_prox
-        d_keep[b] = f_prox
-        d_tq.append(probs[b] * pdk.f_dc * dc_count_diff_grad(tqs[b]))
+    dc_terms = np.zeros(len(tqs))
+    lengths = np.array([t.shape[0] for t in tqs], dtype=int)
+    has_slots = lengths > 0
+    if has_slots.any():
+        # reduceat sums each block's segment; blocks without slots are skipped
+        # because reduceat would return the next element for an empty segment
+        starts = np.cumsum(lengths) - lengths
+        per_slot = _DC_COUNT_SLOPE * np.concatenate(tqs) + _DC_COUNT_OFFSET
+        dc_terms[has_slots] = np.add.reduceat(per_slot, starts[has_slots])
+    d_keep = k * pdk.f_ps + dc_terms * pdk.f_dc + cr_terms
+    value = float(probs @ d_keep)
+    d_tq = [p * pdk.f_dc * dc_count_diff_grad(t) for p, t in zip(probs, tqs)]
     d_ptilde = probs[:, None, None] * penalty.beta_cr * pdk.f_cr * 2.0 * diff
-    return float(value), ProxyGrads(d_keep, d_tq, d_ptilde)
+    return value, ProxyGrads(d_keep, d_tq, d_ptilde)
 
 
 def footprint_penalty(expected_prox: float, expected_exact: float,
@@ -261,8 +267,7 @@ def block_bounds(pdk: PdkSpec, k: int, c: FootprintConstraint,
     """
     if k < 2:
         raise DomainError("mesh size must be at least 2")
-    f_b_min = k * pdk.f_ps + pdk.f_dc
-    f_b_max = f_b_min + k * pdk.f_dc / 2.0 + k * (k - 1) * pdk.f_cr / 2.0
+    f_b_min, f_b_max = block_area_extremes(pdk, k)
     b_max = math.ceil(c.f_max / f_b_min)
     b_min = max(min_total, math.floor(c.f_min / f_b_max))
     return BlockBounds(b_min=b_min, b_max=b_max)

@@ -45,27 +45,39 @@ from .topology import TopoBlock, Topology
 def gumbel_sample(theta, tau, rng, frozen=False, noise=None):
     """Gumbel-Softmax gate weights m = softmax((theta + g) / tau).
 
-    Frozen gates return (0, 1) without consuming randomness. noise overrides
-    the Gumbel draw (used by gradient checks)."""
-    if frozen:
-        return np.array([0.0, 1.0])
+    theta is one (2,) logit pair or a (..., 2) stack; frozen is a bool or a
+    matching (...) mask. Frozen gates return (0, 1) without consuming
+    randomness; the others share one draw, in row order. noise overrides the
+    Gumbel draw (used by gradient checks) and has theta's shape."""
+    theta = np.asarray(theta, dtype=float)
+    free = ~np.broadcast_to(np.asarray(frozen, dtype=bool), theta.shape[:-1])
+    m = np.zeros_like(theta)
+    m[..., 1] = 1.0
+    if not free.any():
+        return m
     if tau <= 0:
         raise ValueError("tau must be positive")
     if noise is None:
-        u = rng.uniform(1e-12, 1.0 - 1e-12, size=2)
-        noise = -np.log(-np.log(u))
-    z = (np.asarray(theta, dtype=float) + noise) / tau
-    z -= z.max()
+        u = rng.uniform(1e-12, 1.0 - 1e-12, size=(np.count_nonzero(free), 2))
+        g = -np.log(-np.log(u))
+    else:
+        g = np.asarray(noise, dtype=float)[free]
+    z = (theta[free] + g) / tau
+    z -= z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    m[free] = e / e.sum(axis=-1, keepdims=True)
+    return m
 
 
 def gumbel_backward(m, tau, g_m, frozen=False):
-    """Cotangent on theta through the softmax (noise held fixed)."""
-    if frozen:
-        return np.zeros(2)
-    inner = float(np.dot(g_m, m))
-    return m * (g_m - inner) / tau
+    """Cotangent on theta through the softmax (noise held fixed).
+
+    Accepts (..., 2) stacks with a matching frozen mask; frozen gates get 0."""
+    m = np.asarray(m, dtype=float)
+    g_m = np.asarray(g_m, dtype=float)
+    inner = np.sum(g_m * m, axis=-1, keepdims=True)
+    g_theta = m * (g_m - inner) / tau
+    return np.where(np.asarray(frozen, dtype=bool)[..., None], 0.0, g_theta)
 
 
 def expected_keep_prob(theta, frozen=False) -> float:
@@ -79,13 +91,8 @@ def expected_keep_prob(theta, frozen=False) -> float:
 
 
 def sample_gates(mesh: SuperMesh, tau, rng, noise=None):
-    """Per-block gate weights for one training step."""
-    m = np.zeros((mesh.n_blocks, 2))
-    for b in range(mesh.n_blocks):
-        nb = None if noise is None else noise[b]
-        m[b] = gumbel_sample(mesh.theta[b], tau, rng,
-                             frozen=bool(mesh.frozen[b]), noise=nb)
-    return m
+    """Per-block gate weights for one training step, from one draw."""
+    return gumbel_sample(mesh.theta, tau, rng, frozen=mesh.frozen, noise=noise)
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +220,7 @@ def search_step(mesh: SuperMesh, task, phase: str, state: SearchState, rng,
             rho_schedule(state.alm)
         state.weight_step += 1
     elif phase == "arch":
-        g_theta = np.zeros_like(mesh.theta)
-        for b in range(mesh.n_blocks):
-            g_theta[b] = gumbel_backward(m[b], state.tau, grads.m[b],
-                                         frozen=bool(mesh.frozen[b]))
+        g_theta = gumbel_backward(m, state.tau, grads.m, frozen=mesh.frozen)
         g_theta += mesh.keep_prob_theta_grad(coeff * prox_grads.d_keep)
         state.opt_arch.step([mesh.theta], [g_theta])
     else:

@@ -1,6 +1,7 @@
 """Desk-scale tasks, phase-noise injection, and robustness evaluation."""
 import copy
 import csv
+import math
 import struct
 from dataclasses import dataclass
 
@@ -121,6 +122,15 @@ def random_matrix_with_singular_values(k: int, singulars, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # dataset loading
 
+def check_phase_sigma(sigma) -> float:
+    """A phase-noise standard deviation as a float; DomainError unless it is
+    finite and nonnegative."""
+    sigma = float(sigma)
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise DomainError(f"phase sigma must be finite and nonnegative, got {sigma!r}")
+    return sigma
+
+
 @dataclass
 class NoiseModel:
     """Gaussian phase perturbation in radians."""
@@ -128,8 +138,7 @@ class NoiseModel:
     phase_sigma: float = 0.02
 
     def __post_init__(self):
-        if self.phase_sigma < 0:
-            raise DomainError("phase_sigma must be nonnegative")
+        check_phase_sigma(self.phase_sigma)
 
 
 def _split_dataset(features, labels, split, seed, n_classes, batch_size=32):
@@ -270,6 +279,9 @@ def clean_metric(mesh, task):
 
 
 def noisy_metric(mesh, task, sigma, rng, trials=20):
+    """Mean and std of the metric over phase-noise draws of std sigma;
+    sigma 0 runs the noiseless pass."""
+    sigma = check_phase_sigma(sigma)
     gates = certainty_gates(mesh.n_blocks)
     vals = []
     for _ in range(trials):
@@ -302,6 +314,7 @@ def robustness_sweep(model, task, sigmas, trials, rng):
     """
     if trials < 2:
         raise DomainError("robustness sweep needs at least 2 trials")
+    sigmas = [check_phase_sigma(sigma) for sigma in sigmas]
     if isinstance(model, Topology):
         mesh = SuperMesh.from_topology(model, m_rows=task.m_rows,
                                        n_cols=task.n_cols,
@@ -312,8 +325,8 @@ def robustness_sweep(model, task, sigmas, trials, rng):
     for sigma in sigmas:
         if sigma == 0:
             val = clean_metric(mesh, task)
-            rows.append((float(sigma), val, 0.0))
+            rows.append((sigma, val, 0.0))
         else:
             mean, std = noisy_metric(mesh, task, sigma, rng, trials=trials)
-            rows.append((float(sigma), mean, std))
+            rows.append((sigma, mean, std))
     return rows

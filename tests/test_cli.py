@@ -207,6 +207,21 @@ def test_eval_command_rejects_tampered_netlist(tmp_path, capsys):
     assert "cr not a permutation" in err["message"]
 
 
+@pytest.mark.parametrize("grid, error", [("0,-0.01", "DomainError"),
+                                         ("0,nan", "DomainError"),
+                                         ("0,abc", "ConfigError")])
+def test_eval_command_rejects_bad_sigma_grid(tmp_path, capsys, grid, error):
+    net = _emit_netlist(tmp_path, seed=8)
+    out = tmp_path / "metrics.csv"
+    code = main(["eval", "--netlist", str(net), "--seed", "3",
+                 "--sigma-grid", grid, "--trials", "3", "--train-steps", "5",
+                 "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.err.strip())["error"] == error
+    assert captured.out == "" and not out.exists()
+
+
 def test_report_command(tmp_path, capsys):
     net = _emit_netlist(tmp_path, seed=7)
     code = main(["report", "--netlist", str(net), "--seed", "0"])

@@ -439,3 +439,79 @@ def test_block_transfer_equals_explicit_product():
     a = block_transfer(phi, t, perm, 0)
     explicit = perm @ coupler_matrix(t, k, 0) @ np.diag(np.exp(-1j * phi))
     assert np.allclose(a, explicit, atol=1e-12)
+
+
+def test_stacked_coupler_matrix_matches_per_block_calls():
+    rng = np.random.default_rng(23)
+    k = 7
+    offsets = [0, 1, 0, 1, 1]
+    ts = [rng.uniform(0.5, 1.0, n_coupler_slots(k, off)) for off in offsets]
+    stack = coupler_matrix(ts, k, offsets)
+    assert stack.shape == (len(offsets), k, k)
+    for b, (t, off) in enumerate(zip(ts, offsets)):
+        assert np.array_equal(stack[b], coupler_matrix(t, k, off))
+
+
+def test_stacked_coupler_matrix_rejects_any_length_mismatch():
+    k = 8
+    ts = [np.ones(4), np.ones(3), np.ones(4)]
+    coupler_matrix(ts, k, [0, 1, 0])
+    with pytest.raises(DomainError):
+        coupler_matrix([np.ones(4), np.ones(4), np.ones(4)], k, [0, 1, 0])
+    with pytest.raises(DomainError):
+        coupler_matrix(ts[:2], k, [0, 1, 0])
+
+
+# ---------------------------------------------------------------------------
+# frozen groups: backward skips their branches and returns None for them
+
+def _fixed_structure_mesh(seed):
+    from helpers import random_topology
+    rng = np.random.default_rng(seed)
+    mesh = SuperMesh.from_topology(random_topology(6, 2, 2, rng), m_rows=9,
+                                   n_cols=6, rng=rng)
+    task = MatrixFitTask(0.3 * (rng.normal(size=(9, 6))
+                                + 1j * rng.normal(size=(9, 6))))
+    return mesh, task
+
+
+def test_fixed_topology_backward_returns_no_structure_grads():
+    mesh, task = _fixed_structure_mesh(seed=24)
+    gates = certainty_gates(mesh.n_blocks)
+    w, cache = mesh.forward(gates, binarize=True)
+    _, g_w = task.loss_and_grad(w)
+    grads = mesh.backward(cache, g_w)
+    assert grads.p_raw is None and grads.t_latent is None
+
+    def value():
+        w, _ = mesh.forward(gates, binarize=True)
+        return task.loss_and_grad(w)[0]
+
+    rng = np.random.default_rng(25)
+    for param, analytic in ((mesh.phi, grads.phi), (mesh.sigma, grads.sigma)):
+        coords = rng.choice(param.size, size=min(25, param.size), replace=False)
+        for a, n, rel in fd_check(value, param, analytic, coords):
+            assert rel < 1e-4, (a, n, rel)
+
+
+def test_frozen_permutations_keep_coupler_grads():
+    mesh, task = _fd_mesh(seed=26)
+    gates = certainty_gates(mesh.n_blocks)
+    w, cache = mesh.forward(gates, binarize=False)
+    _, g_w = task.loss_and_grad(w)
+    full = mesh.backward(cache, g_w)
+    mesh.perms_trainable = False
+    frozen = mesh.backward(cache, g_w)
+    assert frozen.p_raw is None and full.p_raw is not None
+    for b in range(mesh.n_blocks):
+        assert np.array_equal(frozen.t_latent[b], full.t_latent[b])
+    assert np.array_equal(frozen.phi, full.phi)
+
+    def value():
+        return _task_value(mesh, task, gates)
+
+    for b in range(mesh.n_blocks):
+        coords = range(mesh.t_latent[b].shape[0])
+        for a, n, rel in fd_check(value, mesh.t_latent[b],
+                                  frozen.t_latent[b], coords):
+            assert rel < 1e-4, (b, a, n, rel)

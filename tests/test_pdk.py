@@ -92,6 +92,21 @@ def test_crossings_rejects_non_permutation():
         count_crossings([0, 0, 1])
 
 
+def test_crossings_stack_matches_per_row_counts():
+    rng = np.random.default_rng(8)
+    perms = np.stack([rng.permutation(9) for _ in range(6)])
+    counts = count_crossings(perms)
+    assert counts.tolist() == [count_crossings(p) for p in perms]
+    assert count_crossings(perms.reshape(2, 3, 9)).tolist() == \
+        counts.reshape(2, 3).tolist()
+
+
+def test_crossings_stack_rejects_any_non_permutation_row():
+    perms = np.array([[0, 1, 2, 3], [3, 2, 1, 0], [1, 1, 2, 3]])
+    with pytest.raises(DomainError):
+        count_crossings(perms)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_crossings_exhaustive_vs_adjacent_swap_oracle(k):
     for perm in itertools.permutations(range(k)):
@@ -358,3 +373,18 @@ def test_block_bounds_monotone_in_window(f_min, width_frac, grow_lo, grow_hi):
         max(60_000.0, f_min - grow_lo), f_min + width + grow_hi))
     assert big.b_min <= small.b_min
     assert big.b_max >= small.b_max
+
+
+def test_discrete_block_counts_match_per_block_loop():
+    mesh = make_checkable_mesh(k=8, n_u=3, n_v=3, seed=31)
+    mesh.p_raw[1] = perm_array_to_matrix([2, 0, 1, 3, 4, 7, 5, 6]) + 1e-3
+    # two rows of block 4 share their argmax column: the greedy estimate runs
+    mesh.p_raw[4] = perm_array_to_matrix([0, 0, 2, 3, 4, 5, 6, 7]) + 1e-3
+    p_tildes = mesh.perm_tildes()
+    assert len(set(np.argmax(p_tildes[4], axis=1).tolist())) < 8
+    loop = [(int(np.sum(mesh.t_latent[b] < 0.0)),
+             count_crossings(mesh.hard_perm_estimate(p_tildes[b])))
+            for b in range(mesh.n_blocks)]
+    assert mesh.discrete_block_counts() == loop
+    assert mesh.discrete_block_counts(np.stack(p_tildes)) == loop
+    assert loop[1][1] == 4

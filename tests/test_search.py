@@ -27,6 +27,7 @@ from ptcsearch.search import (
     gumbel_sample,
     iter_phases,
     legalize_mesh,
+    sample_gates,
     sample_submesh,
     search_step,
 )
@@ -86,6 +87,31 @@ def test_gumbel_backward_matches_fd():
         tm[i] -= h
         numeric = (value(tp) - value(tm)) / (2 * h)
         assert rel_err(analytic[i], numeric) < 1e-4
+
+
+def test_sample_gates_consumes_rng_like_per_block_loop():
+    mesh = SuperMesh(8, 3, 3, n_frozen_u=1, n_frozen_v=1,
+                     rng=np.random.default_rng(3))
+    mesh.theta = np.random.default_rng(4).normal(size=mesh.theta.shape)
+    rng_loop, rng_batch = np.random.default_rng(5), np.random.default_rng(5)
+    loop = np.stack([gumbel_sample(mesh.theta[b], 0.8, rng_loop,
+                                   frozen=bool(mesh.frozen[b]))
+                     for b in range(mesh.n_blocks)])
+    batch = sample_gates(mesh, 0.8, rng_batch)
+    assert np.array_equal(batch, loop)
+    assert np.array_equal(batch[mesh.frozen], [[0.0, 1.0]] * 2)
+    assert rng_batch.uniform() == rng_loop.uniform()
+
+
+def test_stacked_gumbel_backward_matches_per_block_calls():
+    rng = np.random.default_rng(6)
+    m = gumbel_sample(rng.normal(size=(5, 2)), 0.7, rng)
+    g_m = rng.normal(size=(5, 2))
+    frozen = np.array([False, True, False, False, True])
+    stacked = gumbel_backward(m, 0.7, g_m, frozen=frozen)
+    for b in range(5):
+        expected = np.zeros(2) if frozen[b] else gumbel_backward(m[b], 0.7, g_m[b])
+        assert np.array_equal(stacked[b], expected)
 
 
 def test_expected_keep_prob_values():

@@ -203,6 +203,21 @@ def test_sweep_row_count_matches_grid():
     assert len(rows) == 5
 
 
+@pytest.mark.parametrize("bad", [-0.01, float("nan"), float("inf")])
+def test_noisy_metric_and_sweep_reject_bad_sigma(bad):
+    # a bad sigma used to yield the clean metric with std 0, labelled as noisy
+    topo = random_topology(8, 2, 2, np.random.default_rng(16))
+    task = MatrixFitTask(random_unitary(8, np.random.default_rng(7)))
+    mesh = SuperMesh.from_topology(topo, rng=np.random.default_rng(0))
+    with pytest.raises(DomainError):
+        noisy_metric(mesh, task, bad, np.random.default_rng(1), trials=3)
+    with pytest.raises(DomainError):
+        robustness_sweep(mesh, task, [0.0, bad], trials=3,
+                         rng=np.random.default_rng(1))
+    with pytest.raises(DomainError):
+        NoiseModel(bad)
+
+
 def test_sweep_needs_two_trials():
     topo = random_topology(8, 2, 2, np.random.default_rng(15))
     task = MatrixFitTask(random_unitary(8, np.random.default_rng(7)))

@@ -390,8 +390,10 @@ class SuperMesh:
         p_tildes, p_cache = reparametrize(self.p_raw, self.epsilon)
         pt_t = p_tildes @ t_mats
         amats = pt_t * r[..., None, :]                     # (P, Q, B, K, K)
-        mats = m_weights[:, 0, None, None] * np.eye(k) + \
-            m_weights[:, 1, None, None] * amats
+        # gated factors m1 I + m2 A: scale A, then add m1 on the diagonals
+        mats = m_weights[:, 1, None, None] * amats
+        mats.reshape(mats.shape[:-2] + (k * k,))[..., ::k + 1] += \
+            m_weights[:, 0, None]
 
         chains = {"u": self._chain_forward(self.u_block_ids(), mats),
                   "v": self._chain_forward(self.v_block_ids(), mats)}
@@ -468,7 +470,7 @@ class SuperMesh:
                        axis=-1)
         g_a = m_weights[:, 1, None, None] * g_mats
         r = cache["r"]
-        g_r = np.sum(g_a * cache["pt_t"].conj(), axis=-2)
+        g_r = np.einsum("...ij->...j", g_a * cache["pt_t"].conj())
         g_phi = (g_r.conj() * (-1j * r)).real
         # the tile sum of g_A conj(r) carries every P~ and T cotangent
         s = np.sum(g_a * r[..., None, :].conj(), axis=(0, 1))   # (B, K, K)

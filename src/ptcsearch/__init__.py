@@ -19,6 +19,7 @@ from .mesh import (
     certainty_gates,
     cr_apply,
     dc_apply,
+    expected_keep_prob,
     normalize_unitary,
     partition_matmul,
     ps_apply,
@@ -55,7 +56,6 @@ from .permutation import (
 from .search import (
     SearchConfig,
     SearchSchedule,
-    expected_keep_prob,
     gumbel_sample,
     run_search,
     sample_submesh,

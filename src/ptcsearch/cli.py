@@ -19,6 +19,7 @@ from .netlist import (
 from .pdk import (
     FootprintConstraint,
     PenaltyConfig,
+    footprint_exact,
     footprint_from_counts,
     load_pdk,
 )
@@ -168,7 +169,7 @@ def cmd_footprint(args):
     if args.netlist:
         topology = doc_to_topology(read_netlist(args.netlist))
         n_cr, n_dc, n_blk = topology.device_counts()
-        area = footprint_from_counts(pdk, topology.k, n_blk, n_dc, n_cr)
+        area = footprint_exact(topology, pdk)
         name, size = "netlist", topology.k
     else:
         name, size = args.baseline, args.size
@@ -202,7 +203,7 @@ def cmd_report(args):
     topology = doc_to_topology(doc)
     pdk = load_pdk(doc["pdk"])
     n_cr, n_dc, n_blk = topology.device_counts()
-    area = footprint_from_counts(pdk, topology.k, n_blk, n_dc, n_cr)
+    area = footprint_exact(topology, pdk)
     report = {
         "k": topology.k,
         "pdk": pdk.name,

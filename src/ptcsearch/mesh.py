@@ -12,11 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, DomainError
+from .pdk import count_crossings
 from .permutation import (
     init_smoothed_identity,
-    is_permutation,
     perm_array_to_matrix,
-    perm_matrix_to_array,
     reparametrize,
     reparametrize_backward,
 )
@@ -197,7 +196,8 @@ def partition_matmul(wp: WeightPartition, x):
 
 
 # ---------------------------------------------------------------------------
-# block chains
+# block chains, one block and one tile at a time: the independent oracle the
+# tests hold SuperMesh.forward to
 
 def block_transfer(phi, t_eff, p_tilde, offset):
     """Transfer matrix of one block: P~ @ T @ R(phi)."""
@@ -303,21 +303,14 @@ class SuperMesh:
 
     def keep_probs(self) -> np.ndarray:
         """Noiseless block selection probabilities softmax(theta)[:, keep]."""
-        z = self.theta - self.theta.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        probs = e[:, 1] / e.sum(axis=1)
-        probs[self.frozen] = 1.0
-        return probs
+        return expected_keep_prob(self.theta, self.frozen)
 
     def keep_prob_theta_grad(self, g_prob: np.ndarray) -> np.ndarray:
-        """Chain a cotangent on keep_probs back to theta."""
-        probs = self.keep_probs()
-        g_theta = np.zeros_like(self.theta)
-        p = probs
-        g_theta[:, 1] = g_prob * p * (1.0 - p)
-        g_theta[:, 0] = -g_prob * p * (1.0 - p)
-        g_theta[self.frozen] = 0.0
-        return g_theta
+        """Chain a cotangent on keep_probs back to theta. Frozen blocks have
+        probability 1, so p (1 - p) gives them 0."""
+        p = self.keep_probs()
+        g_keep = g_prob * p * (1.0 - p)
+        return np.stack([-g_keep, g_keep], axis=-1)
 
     def coupler_tq(self):
         """Binarized transmissions, one array per block (views of one array)."""
@@ -350,7 +343,6 @@ class SuperMesh:
         has them. Blocks whose row argmax is already a permutation skip the
         greedy estimate; all crossings are counted by one call.
         """
-        from .pdk import count_crossings
         if p_tildes is None:
             p_tildes = reparametrize(self.p_raw, self.epsilon)[0]
         hard = np.argmax(p_tildes, axis=-1)
@@ -407,8 +399,7 @@ class SuperMesh:
         w_tiles = u_n @ (self.sigma[..., :, None] * v_n)
         w_pad = w_tiles.transpose(0, 2, 1, 3).reshape(self.p_tiles * k,
                                                       self.q_tiles * k)
-        cache = {"shared": [{"p_tilde": pt} for pt in p_tildes],
-                 "p_tildes": p_tildes, "p_cache": p_cache, "t_effs": t_effs,
+        cache = {"p_tildes": p_tildes, "p_cache": p_cache, "t_effs": t_effs,
                  "t_mats": t_mats, "pt_t": pt_t, "r": r, "mats": mats,
                  "amats": amats, "chains": chains,
                  "u_norms": u_norms, "v_norms": v_norms, "u_n": u_n, "v_n": v_n,
@@ -505,27 +496,14 @@ class SuperMesh:
     # -- export --------------------------------------------------------------
 
     def weight_partition(self, m_weights=None, binarize=True) -> WeightPartition:
-        """Snapshot the current mesh as explicit per-tile (U, sigma, V)."""
+        """Snapshot the current mesh as explicit per-tile (U, sigma, V), all
+        taken from one forward pass."""
         if m_weights is None:
             m_weights = certainty_gates(self.n_blocks)
-        tiles = []
-        for p in range(self.p_tiles):
-            row = []
-            for q in range(self.q_tiles):
-                u = self._chain_matrix(self.u_block_ids(), p, q, m_weights, binarize)
-                v = self._chain_matrix(self.v_block_ids(), p, q, m_weights, binarize)
-                row.append((normalize_unitary(u, "row"), self.sigma[p, q].copy(),
-                            normalize_unitary(v, "column")))
-            tiles.append(row)
+        _, cache = self.forward(m_weights, binarize=binarize)
+        tiles = [[(cache["u_n"][p, q], self.sigma[p, q].copy(), cache["v_n"][p, q])
+                  for q in range(self.q_tiles)] for p in range(self.p_tiles)]
         return WeightPartition(self.m_rows, self.n_cols, self.k, tiles)
-
-    def _chain_matrix(self, ids, p, q, m_weights, binarize):
-        phis = [self.phi[p, q, b] for b in ids]
-        ts = [self.t_latent[b] for b in ids]
-        perms = [reparametrize(self.p_raw[b], self.epsilon)[0] for b in ids]
-        offsets = [self.offsets[b] for b in ids]
-        gates = [m_weights[b] for b in ids]
-        return build_unitary(phis, ts, perms, offsets, gates, binarize=binarize)
 
 
 def certainty_gates(n_blocks: int) -> np.ndarray:
@@ -533,3 +511,16 @@ def certainty_gates(n_blocks: int) -> np.ndarray:
     m = np.zeros((n_blocks, 2))
     m[:, 1] = 1.0
     return m
+
+
+def expected_keep_prob(theta, frozen=False):
+    """Noiseless selection probability softmax(theta)[keep].
+
+    theta is one (2,) logit pair or a (..., 2) stack; frozen is a bool or a
+    matching (...) mask, and frozen gates give 1. A single pair gives a float.
+    """
+    z = np.asarray(theta, dtype=float)
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    probs = np.where(frozen, 1.0, e[..., 1] / e.sum(axis=-1))
+    return float(probs) if probs.ndim == 0 else probs

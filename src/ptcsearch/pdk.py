@@ -170,17 +170,20 @@ def dc_count_diff_grad(t_q: np.ndarray) -> np.ndarray:
 
 
 def block_footprint(pdk: PdkSpec, k: int, n_dc: int, n_cr: int) -> float:
-    """Exact area of one block: a full PS column plus its DCs and CRs."""
+    """Exact area of one block: a full column of k PS plus its DCs and CRs.
+    Counts may be per-block arrays; every area formula goes through here."""
     return k * pdk.f_ps + n_dc * pdk.f_dc + n_cr * pdk.f_cr
 
 
 def footprint_from_counts(pdk: PdkSpec, k: int, n_blocks: int,
                           n_dc_total: int, n_cr_total: int) -> float:
-    return n_blocks * k * pdk.f_ps + n_dc_total * pdk.f_dc + n_cr_total * pdk.f_cr
+    """Exact area from design totals: n_blocks PS columns of K shifters."""
+    return block_footprint(pdk, n_blocks * k, n_dc_total, n_cr_total)
 
 
 def footprint_exact(topology, pdk: PdkSpec) -> float:
-    """Exact area of a legalized topology in um^2."""
+    """Exact area of a legalized topology in um^2, summed block by block (the
+    value netlists store and check)."""
     total = 0.0
     for block in topology.blocks:
         total += block_footprint(pdk, topology.k, block.n_dc, block.n_cr)
@@ -225,8 +228,8 @@ def footprint_proxy(mesh, pdk: PdkSpec, penalty: PenaltyConfig, p_tildes=None):
         p_tildes = mesh.perm_tildes()
     k = mesh.k
     diff = np.asarray(p_tildes, dtype=float) - np.eye(k)
-    cr_terms = penalty.beta_cr * np.sum(diff * diff, axis=(-2, -1)) * pdk.f_cr
-    dc_terms = np.zeros(len(tqs))
+    cr_counts = penalty.beta_cr * np.sum(diff * diff, axis=(-2, -1))
+    dc_counts = np.zeros(len(tqs))
     lengths = np.array([t.shape[0] for t in tqs], dtype=int)
     has_slots = lengths > 0
     if has_slots.any():
@@ -234,8 +237,8 @@ def footprint_proxy(mesh, pdk: PdkSpec, penalty: PenaltyConfig, p_tildes=None):
         # because reduceat would return the next element for an empty segment
         starts = np.cumsum(lengths) - lengths
         per_slot = _DC_COUNT_SLOPE * np.concatenate(tqs) + _DC_COUNT_OFFSET
-        dc_terms[has_slots] = np.add.reduceat(per_slot, starts[has_slots])
-    d_keep = k * pdk.f_ps + dc_terms * pdk.f_dc + cr_terms
+        dc_counts[has_slots] = np.add.reduceat(per_slot, starts[has_slots])
+    d_keep = block_footprint(pdk, k, dc_counts, cr_counts)
     value = float(probs @ d_keep)
     d_tq = [p * pdk.f_dc * dc_count_diff_grad(t) for p, t in zip(probs, tqs)]
     d_ptilde = probs[:, None, None] * penalty.beta_cr * pdk.f_cr * 2.0 * diff
@@ -275,6 +278,6 @@ def block_bounds(pdk: PdkSpec, k: int, c: FootprintConstraint,
 
 def block_area_extremes(pdk: PdkSpec, k: int):
     """(F_b_min, F_b_max) used by the analytical block bounds."""
-    f_b_min = k * pdk.f_ps + pdk.f_dc
+    f_b_min = block_footprint(pdk, k, 1, 0)
     f_b_max = f_b_min + k * pdk.f_dc / 2.0 + k * (k - 1) * pdk.f_cr / 2.0
     return f_b_min, f_b_max

@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, InfeasibleError, StateError
-from .mesh import SuperMesh
+from .mesh import SuperMesh, expected_keep_prob  # noqa: F401 (re-export)
 from .optim import Adam, cosine_lr
 from .pdk import (
     FootprintConstraint,
@@ -80,16 +80,6 @@ def gumbel_backward(m, tau, g_m, frozen=False):
     return np.where(np.asarray(frozen, dtype=bool)[..., None], 0.0, g_theta)
 
 
-def expected_keep_prob(theta, frozen=False) -> float:
-    """Noiseless selection probability softmax(theta)[keep]."""
-    if frozen:
-        return 1.0
-    z = np.asarray(theta, dtype=float)
-    z = z - z.max()
-    e = np.exp(z)
-    return float(e[1] / e.sum())
-
-
 def sample_gates(mesh: SuperMesh, tau, rng, noise=None):
     """Per-block gate weights for one training step, from one draw."""
     return gumbel_sample(mesh.theta, tau, rng, frozen=mesh.frozen, noise=noise)
@@ -152,10 +142,10 @@ class SearchState:
         self.config = config
         self.schedule = schedule
         spe = schedule.steps_per_epoch
-        ratio = schedule.weight_arch_ratio
-        search_epochs = schedule.spl_epoch - schedule.warmup_epochs
-        alm_steps = spe * schedule.warmup_epochs + \
-            spe * search_epochs * ratio // (ratio + 1)
+        # the multipliers and rho are updated on every pre-SPL weights step
+        pre_spl = itertools.takewhile(lambda s: s[0] < schedule.spl_epoch,
+                                      iter_phases(schedule))
+        alm_steps = sum(phase == "weights" for _, _, phase in pre_spl)
         self.alm = AlmState.init(mesh.n_blocks, mesh.k, rho0=config.rho0,
                                  total_steps=max(1, alm_steps))
         self.opt_weights = Adam(lr=schedule.lr,
@@ -170,7 +160,11 @@ class SearchState:
 
 def search_step(mesh: SuperMesh, task, phase: str, state: SearchState, rng,
                 batch=None):
-    """One optimizer step on L_task + L_P + L_F for the given phase."""
+    """One optimizer step on L_task + L_P + L_F for the given phase.
+
+    Once the permutations are legalized and frozen, L_P is 0 (every legal P~
+    has a zero l1-l2 gap) and is not evaluated.
+    """
     m = sample_gates(mesh, state.tau, rng)
     if batch is None:
         batch = task.sample_batch(rng)
@@ -178,7 +172,9 @@ def search_step(mesh: SuperMesh, task, phase: str, state: SearchState, rng,
     task_val, g_w = task.loss_and_grad(w, batch)
 
     p_tildes = cache["p_tildes"]
-    alm_val, alm_grads = alm_loss(p_tildes, state.alm)
+    alm_val, extra_ptilde = 0.0, None
+    if mesh.perms_trainable:
+        alm_val, alm_grads = alm_loss(p_tildes, state.alm)
 
     exp_exact = footprint_expected(mesh, state.pdk, p_tildes)
     prox_val, prox_grads = footprint_proxy(mesh, state.pdk,
@@ -192,7 +188,8 @@ def search_step(mesh: SuperMesh, task, phase: str, state: SearchState, rng,
                               snapshot={"task": task_val, "alm": alm_val,
                                         "footprint": lf_val})
 
-    extra_ptilde = alm_grads + coeff * prox_grads.d_ptilde
+    if mesh.perms_trainable:
+        extra_ptilde = alm_grads + coeff * prox_grads.d_ptilde
     extra_tq = [coeff * g for g in prox_grads.d_tq]
     grads = mesh.backward(cache, g_w, extra_ptilde=extra_ptilde,
                           extra_tq=extra_tq)
@@ -211,9 +208,6 @@ def search_step(mesh: SuperMesh, task, phase: str, state: SearchState, rng,
             struct_params.append(mesh.p_raw)
             struct_grads.append(grads.p_raw)
         if struct_params:
-            if state.opt_struct._m is not None and \
-                    len(state.opt_struct._m) != len(struct_params):
-                state.opt_struct = Adam(lr=state.schedule.lr)
             state.opt_struct.step(struct_params, struct_grads, lr=lr)
         if mesh.perms_trainable:
             dual_update(state.alm, reparametrize(mesh.p_raw, mesh.epsilon)[0])
@@ -237,19 +231,20 @@ def search_step(mesh: SuperMesh, task, phase: str, state: SearchState, rng,
 
 def legalize_mesh(mesh: SuperMesh, spl: SplConfig, rng):
     """Force every crossing layer to a legal permutation and freeze it."""
+    p_tildes = reparametrize(mesh.p_raw, mesh.epsilon)[0]
     for b in range(mesh.n_blocks):
-        pt, _ = reparametrize(mesh.p_raw[b], mesh.epsilon)
-        mesh.p_raw[b] = spl_legalize(pt, spl, rng)
+        mesh.p_raw[b] = spl_legalize(p_tildes[b], spl, rng)
     mesh.perms_trainable = False
 
 
 def mesh_to_topology(mesh: SuperMesh, keep, pdk_name: str) -> Topology:
     """Extract the discrete design for the kept blocks."""
     blocks_u, blocks_v = [], []
+    p_tildes = reparametrize(mesh.p_raw, mesh.epsilon)[0]
     for b in range(mesh.n_blocks):
         if not keep[b]:
             continue
-        pt, _ = reparametrize(mesh.p_raw[b], mesh.epsilon)
+        pt = p_tildes[b]
         if not is_permutation(pt, tol=1e-9):
             raise StateError(f"block {b} permutation is not legalized")
         blk = TopoBlock(
@@ -356,6 +351,8 @@ def run_search(config: SearchConfig, schedule: SearchSchedule, task, rng):
     for epoch in range(schedule.total_epochs):
         if epoch == schedule.spl_epoch:
             legalize_mesh(mesh, config.spl, rng)
+            # the structure group shrinks to the couplers: restart its moments
+            state.opt_struct = Adam(lr=schedule.lr)
         state.tau = schedule.tau_at(epoch)
         epoch_losses = None
         phase = "weights"

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
+from .pdk import count_crossings
 
 
 def coupler_offset(block_index_in_unitary: int) -> int:
@@ -48,8 +49,7 @@ class TopoBlock:
 
     @property
     def n_cr(self) -> int:
-        p = self.perm
-        return int(sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p))))
+        return count_crossings(self.perm)
 
 
 @dataclass

@@ -4,10 +4,14 @@ import numpy as np
 from ptcsearch import (
     MatrixFitTask,
     SuperMesh,
+    WeightPartition,
     alm_loss,
+    build_unitary,
     footprint_expected,
     footprint_penalty,
     footprint_proxy,
+    normalize_unitary,
+    reparametrize,
 )
 from ptcsearch.search import gumbel_sample, sample_gates
 from ptcsearch.tasks import ClassifyTask
@@ -78,6 +82,27 @@ def make_checkable_mesh(k=8, n_u=2, n_v=2, m_rows=None, n_cols=None, seed=0,
     return mesh
 
 
+def weight_partition_oracle(mesh, m_weights, binarize=True):
+    """Per-tile (U, sigma, V) of a mesh, composed independently of its
+    engine: each tile's chains block by block through build_unitary, with a
+    per-block reparametrize and the gate weights, then normalized."""
+    perms = [reparametrize(mesh.p_raw[b], mesh.epsilon)[0]
+             for b in range(mesh.n_blocks)]
+
+    def chain(ids, p, q):
+        return build_unitary([mesh.phi[p, q, b] for b in ids],
+                             [mesh.t_latent[b] for b in ids],
+                             [perms[b] for b in ids],
+                             [mesh.offsets[b] for b in ids],
+                             [m_weights[b] for b in ids], binarize=binarize)
+
+    tiles = [[(normalize_unitary(chain(mesh.u_block_ids(), p, q), "row"),
+               mesh.sigma[p, q],
+               normalize_unitary(chain(mesh.v_block_ids(), p, q), "column"))
+              for q in range(mesh.q_tiles)] for p in range(mesh.p_tiles)]
+    return WeightPartition(mesh.m_rows, mesh.n_cols, mesh.k, tiles)
+
+
 class ContinuousCouplers:
     """View of a mesh whose footprint proxy consumes the raw coupler latents,
     making the surrogate loss smooth in t for finite-difference checks."""
@@ -99,8 +124,7 @@ def surrogate_total_loss(mesh, task, m_weights, alm_state, pdk, penalty,
     proxy evaluated on raw coupler latents. Returns (value, pieces)."""
     w, cache = mesh.forward(m_weights, binarize=False)
     task_val, g_w = task.loss_and_grad(w)
-    ptildes = [cache["shared"][b]["p_tilde"] for b in range(mesh.n_blocks)]
-    alm_val, alm_grads = alm_loss(ptildes, alm_state)
+    alm_val, alm_grads = alm_loss(cache["p_tildes"], alm_state)
     view = ContinuousCouplers(mesh)
     exp_exact = footprint_expected(mesh, pdk)
     prox_val, prox_grads = footprint_proxy(view, pdk, penalty)

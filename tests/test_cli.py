@@ -232,6 +232,22 @@ def test_report_command(tmp_path, capsys):
     assert rep["devices"] == {"n_cr": n_cr, "n_dc": n_dc, "n_blk": n_blk}
 
 
+def test_report_footprint_matches_netlist_area(tmp_path, capsys):
+    # non-integer device areas: summing per block and multiplying totals
+    # round differently, and the report must print the netlist's own area
+    pdk_path = tmp_path / "fractional.yaml"
+    pdk_path.write_text(yaml.safe_dump({"name": str(pdk_path), "f_ps": 6800.3,
+                                        "f_dc": 1500.7, "f_cr": 64.1}))
+    topo = random_topology(8, 3, 3, np.random.default_rng(2))
+    net = tmp_path / "net.json"
+    write_netlist(net, topology_to_doc(topo, load_pdk(str(pdk_path)), {"seed": 2}))
+    doc = read_netlist(net)
+    code = main(["report", "--netlist", str(net), "--seed", "0"])
+    assert code == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["footprint_um2"] == doc["footprint"]["area_um2"]
+
+
 def test_legalize_command(tmp_path, capsys):
     rng = np.random.default_rng(8)
     checkpoint = tmp_path / "ckpt.json"

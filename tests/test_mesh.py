@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fd_check
+from helpers import fd_check, weight_partition_oracle
 from ptcsearch import (
     DegeneracyError,
     DomainError,
@@ -394,13 +394,15 @@ def test_mesh_gradients_multi_tile_stochastic_gates(group):
 
 @pytest.mark.parametrize("binarize", [True, False])
 def test_batched_forward_matches_weight_partition_oracle(binarize):
-    # weight_partition composes each tile through build_unitary, one block
-    # and one tile at a time, independently of the tile-stacked engine
+    # the oracle composes each tile through build_unitary, one block and one
+    # tile at a time, independently of the tile-stacked engine
     mesh, _, gates = _ragged_stochastic_mesh(seed=22)
     w, _ = mesh.forward(gates, binarize=binarize)
-    oracle = mesh.weight_partition(gates, binarize=binarize).assemble()
+    oracle = weight_partition_oracle(mesh, gates, binarize=binarize).assemble()
     assert w.shape == (12, 20)
     np.testing.assert_allclose(w, oracle, rtol=0.0, atol=1e-12)
+    snapshot = mesh.weight_partition(gates, binarize=binarize).assemble()
+    np.testing.assert_allclose(snapshot, oracle, rtol=0.0, atol=1e-12)
 
 
 def test_binarized_backward_applies_ste_scaling():

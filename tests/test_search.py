@@ -17,7 +17,7 @@ from ptcsearch import (
     run_search,
 )
 from ptcsearch.netlist import dumps_canonical, topology_to_doc
-from ptcsearch.permutation import perm_array_to_matrix
+from ptcsearch.permutation import AlmState, perm_array_to_matrix
 from ptcsearch.search import (
     SearchConfig,
     SearchSchedule,
@@ -207,6 +207,34 @@ def test_unknown_phase_rejected():
     mesh, state, task = _small_setup()
     with pytest.raises(ValueError):
         search_step(mesh, task, "both", state, np.random.default_rng(0))
+
+
+def test_post_spl_step_skips_the_alm_term(monkeypatch):
+    # legal frozen permutations have a zero l1-l2 gap: L_P is 0, not evaluated
+    mesh, state, task = _small_setup()
+    legalize_mesh(mesh, __import__("ptcsearch").SplConfig(),
+                  np.random.default_rng(4))
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("alm_loss ran with frozen permutations")
+
+    monkeypatch.setattr("ptcsearch.search.alm_loss", unexpected)
+    record = search_step(mesh, task, "weights", state, np.random.default_rng(5))
+    assert record["alm"] == 0.0
+
+@pytest.mark.parametrize("spe,warmup,spl,n_steps", [(1, 1, 2, 2), (2, 10, 51, 82)])
+def test_alm_budget_counts_pre_spl_weight_steps(spe, warmup, spl, n_steps):
+    # rho grows once per pre-SPL weights step, so its schedule spans exactly
+    # the weights steps iter_phases yields before the SPL epoch
+    schedule = SearchSchedule(warmup_epochs=warmup, spl_epoch=spl,
+                              total_epochs=spl + 1, steps_per_epoch=spe)
+    counted = sum(phase == "weights" for epoch, _, phase in iter_phases(schedule)
+                  if epoch < spl)
+    assert counted == n_steps
+    mesh, state, _ = _small_setup()
+    state = SearchState(mesh, state.config, schedule, state.pdk)
+    expected = AlmState.init(mesh.n_blocks, mesh.k, total_steps=n_steps)
+    assert state.alm.gamma == expected.gamma
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,12 @@ def normalize_unitary(u, mode: str):
     return u / norms
 
 
+def _read_only(a):
+    """Mark an array read-only and return it."""
+    a.setflags(write=False)
+    return a
+
+
 def _herm(x):
     """Conjugate transpose of the last two axes."""
     return np.swapaxes(x, -1, -2).conj()
@@ -227,13 +233,18 @@ def build_unitary(phis, ts, perms, offsets, gates=None, binarize=True):
 
 @dataclass
 class MeshGrads:
-    """Gradients matching SuperMesh's trainable arrays."""
+    """Gradients matching SuperMesh's trainable arrays.
+
+    A field is None when nothing reads it: t_latent when the couplers are
+    frozen, p_raw when the permutations are frozen, m when every gate is
+    frozen (the mesh of a fixed topology has all three).
+    """
 
     phi: np.ndarray       # (P, Q, B, K)
     sigma: np.ndarray     # (P, Q, K)
     t_latent: list        # per block, (slots,); None when couplers are frozen
     p_raw: np.ndarray     # (B, K, K); None when permutations are frozen
-    m: np.ndarray         # (B, 2) cotangents on the sampled gate weights
+    m: np.ndarray         # (B, 2) gate-weight cotangents; None if all frozen
 
 
 class SuperMesh:
@@ -270,6 +281,13 @@ class SuperMesh:
             self.frozen[i] = True
         self.perms_trainable = True
         self.couplers_trainable = True
+        self._structure = {}
+
+    def __getstate__(self):
+        # a copy builds its own structure cache, so its entries stay read-only
+        state = self.__dict__.copy()
+        state["_structure"] = {}
+        return state
 
     # -- structure helpers --------------------------------------------------
 
@@ -312,13 +330,62 @@ class SuperMesh:
         g_keep = g_prob * p * (1.0 - p)
         return np.stack([-g_keep, g_keep], axis=-1)
 
+    def _t_eff(self, binarize):
+        """Effective transmissions of all slots as one flat array (a copy)."""
+        flat = np.concatenate(self.t_latent).astype(float, copy=False)
+        return quantize_coupler(flat) if binarize else flat
+
     def coupler_tq(self):
         """Binarized transmissions, one array per block (views of one array)."""
-        return _split_slots(quantize_coupler(np.concatenate(self.t_latent)),
-                            [t.shape[0] for t in self.t_latent])
+        return _split_slots(self._t_eff(True), [t.shape[0] for t in self.t_latent])
 
     def perm_tildes(self):
-        return list(reparametrize(self.p_raw, self.epsilon)[0])
+        """The (B, K, K) relaxed permutations P~ (cached, read-only)."""
+        return self._perm_structure()[0]
+
+    # -- block structure cache ----------------------------------------------
+    #
+    # The relaxed permutations P~, the coupler columns T and their product
+    # P~T stay fixed over runs of steps: arch steps, the forward after a dual
+    # update, every step after SPL and a whole fixed-topology retrain. Each
+    # part is rebuilt only when its inputs differ by value from a copy taken
+    # at its last build, so in-place edits of p_raw, t_latent, offsets or
+    # epsilon are seen. The cached arrays are read-only and are replaced, not
+    # written, on a rebuild, so a forward cache holding them stays valid.
+
+    def _perm_structure(self):
+        """(P~ stack, reparametrize cache), keyed on p_raw and epsilon."""
+        c = self._structure
+        if not (c.get("epsilon") == self.epsilon
+                and np.array_equal(c.get("p_raw"), self.p_raw)):
+            p_tildes, p_cache = reparametrize(self.p_raw, self.epsilon)
+            c.update(p_raw=self.p_raw.copy(), epsilon=self.epsilon, pt_t=None,
+                     p_tildes=_read_only(p_tildes),
+                     p_cache={n: _read_only(a) for n, a in p_cache.items()})
+        return c["p_tildes"], c["p_cache"]
+
+    def _coupler_structure(self, binarize):
+        """(flat effective transmissions, (B, K, K) coupler columns), keyed on
+        those transmissions, the offsets, the per-block slot counts and
+        binarize."""
+        c = self._structure
+        t_eff = self._t_eff(binarize)
+        lengths = [t.shape[0] for t in self.t_latent]
+        key = (list(self.offsets), lengths, binarize)
+        if not (c.get("t_key") == key and np.array_equal(c.get("t_eff"), t_eff)):
+            t_mats = coupler_matrix(_split_slots(t_eff, lengths), self.k,
+                                    self.offsets)
+            c.update(t_key=key, t_eff=_read_only(t_eff), pt_t=None,
+                     t_mats=_read_only(t_mats))
+        return c["t_eff"], c["t_mats"]
+
+    def _block_structure(self, binarize):
+        """Both parts above and their product P~T, built when either changed."""
+        p_tildes, p_cache = self._perm_structure()
+        t_eff, t_mats = self._coupler_structure(binarize)
+        if self._structure["pt_t"] is None:
+            self._structure["pt_t"] = _read_only(p_tildes @ t_mats)
+        return p_tildes, p_cache, t_eff, t_mats, self._structure["pt_t"]
 
     def hard_perm_estimate(self, pt: np.ndarray) -> np.ndarray:
         """Deterministic legal-permutation estimate of a block's relaxed
@@ -344,7 +411,7 @@ class SuperMesh:
         greedy estimate; all crossings are counted by one call.
         """
         if p_tildes is None:
-            p_tildes = reparametrize(self.p_raw, self.epsilon)[0]
+            p_tildes = self.perm_tildes()
         hard = np.argmax(p_tildes, axis=-1)
         legal = np.all(np.sort(hard, axis=-1) == np.arange(self.k), axis=-1)
         for b in np.flatnonzero(~legal):
@@ -355,14 +422,14 @@ class SuperMesh:
 
     # -- forward / backward -------------------------------------------------
     #
-    # All P x Q tiles and all B blocks run at once. One batched reparametrize
-    # gives the relaxed permutations P~, one coupler_matrix call the (B, K, K)
-    # coupler columns T, and every block transfer is formed as one stack
+    # All P x Q tiles and all B blocks run at once. The block structure cache
+    # gives the relaxed permutations P~, the (B, K, K) coupler columns T and
+    # P~T, and every block transfer is formed as one stack
     # A[p, q, b] = (P~_b T_b) * r[p, q, b][None, :] with r = exp(-j phi). The
     # Python loops run over the blocks of each U/V chain and hold only the
     # chain matmuls; every per-block cotangent is reduced after the loop by
     # one batched expression. Frozen groups (perms_trainable or
-    # couplers_trainable false) get no cotangent at all.
+    # couplers_trainable false, every gate frozen) get no cotangent at all.
 
     def forward(self, m_weights, binarize=True, phi_noise=None):
         """Assemble the full complex weight matrix.
@@ -370,17 +437,14 @@ class SuperMesh:
         m_weights: (B, 2) gate weights (sampled or certain).
         phi_noise: optional array broadcastable to phi, added to the phases.
         Returns (W, cache); cache["p_tildes"] holds the (B, K, K) relaxed
-        permutations for the step's ALM and footprint terms.
+        permutations for the step's ALM and footprint terms. The structure
+        entries (p_tildes, p_cache, t_eff, t_mats, pt_t) are read-only.
         """
         k = self.k
         m_weights = np.asarray(m_weights)
         phi_eff = self.phi if phi_noise is None else self.phi + phi_noise
         r = np.exp(-1j * phi_eff)                          # (P, Q, B, K)
-        t_effs = self.coupler_tq() if binarize else \
-            [np.asarray(t, dtype=float) for t in self.t_latent]
-        t_mats = coupler_matrix(t_effs, k, self.offsets)   # (B, K, K)
-        p_tildes, p_cache = reparametrize(self.p_raw, self.epsilon)
-        pt_t = p_tildes @ t_mats
+        p_tildes, p_cache, t_eff, t_mats, pt_t = self._block_structure(binarize)
         amats = pt_t * r[..., None, :]                     # (P, Q, B, K, K)
         # gated factors m1 I + m2 A: scale A, then add m1 on the diagonals
         mats = m_weights[:, 1, None, None] * amats
@@ -399,7 +463,7 @@ class SuperMesh:
         w_tiles = u_n @ (self.sigma[..., :, None] * v_n)
         w_pad = w_tiles.transpose(0, 2, 1, 3).reshape(self.p_tiles * k,
                                                       self.q_tiles * k)
-        cache = {"p_tildes": p_tildes, "p_cache": p_cache, "t_effs": t_effs,
+        cache = {"p_tildes": p_tildes, "p_cache": p_cache, "t_eff": t_eff,
                  "t_mats": t_mats, "pt_t": pt_t, "r": r, "mats": mats,
                  "amats": amats, "chains": chains,
                  "u_norms": u_norms, "v_norms": v_norms, "u_n": u_n, "v_n": v_n,
@@ -424,6 +488,7 @@ class SuperMesh:
 
         The p_raw (t_latent) gradient is None when the mesh holds its
         permutations (couplers) frozen; extra_ptilde (extra_tq) is then unused.
+        The gate cotangent m is None when every gate is frozen.
         """
         k = self.k
         m_weights = cache["m"]
@@ -456,29 +521,31 @@ class SuperMesh:
                 if pos > 0:
                     g_left = _herm(mats[:, :, b]) @ g_left
 
-        g_m = np.stack([np.trace(g_mats, axis1=-2, axis2=-1).sum(axis=(0, 1)).real,
-                        np.sum((g_mats.conj() * amats).real, axis=(0, 1, 3, 4))],
-                       axis=-1)
+        g_m = None
+        if not self.frozen.all():
+            g_m = np.stack([np.trace(g_mats, axis1=-2, axis2=-1).sum(axis=(0, 1)).real,
+                            np.sum((g_mats.conj() * amats).real, axis=(0, 1, 3, 4))],
+                           axis=-1)
         g_a = m_weights[:, 1, None, None] * g_mats
         r = cache["r"]
         g_r = np.einsum("...ij->...j", g_a * cache["pt_t"].conj())
         g_phi = (g_r.conj() * (-1j * r)).real
-        # the tile sum of g_A conj(r) carries every P~ and T cotangent
-        s = np.sum(g_a * r[..., None, :].conj(), axis=(0, 1))   # (B, K, K)
 
-        g_p_raw = None
+        g_p_raw = g_t_latent = None
+        if self.perms_trainable or self.couplers_trainable:
+            # the tile sum of g_A conj(r) carries every P~ and T cotangent
+            s = np.sum(g_a * r[..., None, :].conj(), axis=(0, 1))  # (B, K, K)
         if self.perms_trainable:
             g_ptilde = (s @ _herm(cache["t_mats"])).real
             if extra_ptilde is not None:
                 g_ptilde = g_ptilde + np.asarray(extra_ptilde)
             g_p_raw = reparametrize_backward(cache["p_cache"], g_ptilde)
 
-        g_t_latent = None
         if self.couplers_trainable:
             g_t_mat = np.swapaxes(cache["p_tildes"], -1, -2) @ s
             # collapse the coupler-column cotangents onto the slot transmissions
             blk, a, counts = _slot_index(k, self.offsets)
-            t_eff = np.concatenate(cache["t_effs"])
+            t_eff = cache["t_eff"]
             cross = np.sqrt(np.maximum(1.0 - t_eff ** 2, 0.0))
             dcross = -t_eff / np.maximum(cross, 1e-12)
             g_tq = (g_t_mat[blk, a, a].real + g_t_mat[blk, a + 1, a + 1].real

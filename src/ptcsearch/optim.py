@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 
+from .errors import StateError
+
 
 class Adam:
     """Adam with optional L2 weight decay, updating arrays in place."""
@@ -17,10 +19,19 @@ class Adam:
         self._v = None
 
     def step(self, params, grads, lr=None):
-        """params/grads: parallel lists of ndarrays. lr overrides the base rate."""
+        """params/grads: parallel lists of ndarrays. lr overrides the base rate.
+
+        The moments are paired with params by position, so every call must pass
+        arrays of the first call's count and shapes; anything else raises
+        StateError (start a fresh Adam for a new parameter set).
+        """
         if self._m is None:
             self._m = [np.zeros_like(p) for p in params]
             self._v = [np.zeros_like(p) for p in params]
+        elif len(params) != len(self._m) or \
+                any(np.shape(p) != m.shape for p, m in zip(params, self._m)):
+            raise StateError("parameter list does not match the optimizer's "
+                             "moments (count or shape)")
         self.t += 1
         lr = self.lr if lr is None else lr
         bc1 = 1.0 - self.beta1 ** self.t

@@ -212,7 +212,7 @@ class ProxyGrads:
 
     d_keep: np.ndarray   # (B,)
     d_tq: list           # per block, (slots,)
-    d_ptilde: np.ndarray  # (B, K, K)
+    d_ptilde: np.ndarray  # (B, K, K); None when permutations are frozen
 
 
 def footprint_proxy(mesh, pdk: PdkSpec, penalty: PenaltyConfig, p_tildes=None):
@@ -220,7 +220,9 @@ def footprint_proxy(mesh, pdk: PdkSpec, penalty: PenaltyConfig, p_tildes=None):
 
     Replaces the crossing count with beta_cr * ||P~ - I||_F^2 and the coupler
     count with its linear-in-t form. p_tildes, the step's (B, K, K) relaxed
-    permutations, spares recomputing them. Returns (value, ProxyGrads).
+    permutations, spares reading them from the mesh. Returns (value,
+    ProxyGrads); d_ptilde is None when mesh.perms_trainable is false, since
+    nothing then reads a permutation cotangent.
     """
     probs = mesh.keep_probs()
     tqs = mesh.coupler_tq()
@@ -241,7 +243,9 @@ def footprint_proxy(mesh, pdk: PdkSpec, penalty: PenaltyConfig, p_tildes=None):
     d_keep = block_footprint(pdk, k, dc_counts, cr_counts)
     value = float(probs @ d_keep)
     d_tq = [p * pdk.f_dc * dc_count_diff_grad(t) for p, t in zip(probs, tqs)]
-    d_ptilde = probs[:, None, None] * penalty.beta_cr * pdk.f_cr * 2.0 * diff
+    d_ptilde = None
+    if mesh.perms_trainable:
+        d_ptilde = probs[:, None, None] * penalty.beta_cr * pdk.f_cr * 2.0 * diff
     return value, ProxyGrads(d_keep, d_tq, d_ptilde)
 
 

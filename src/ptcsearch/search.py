@@ -32,7 +32,7 @@ from .permutation import (
     dual_update,
     is_permutation,
     perm_matrix_to_array,
-    reparametrize,
+    reparametrize,  # noqa: F401 (re-export)
     rho_schedule,
     spl_legalize,
 )
@@ -210,11 +210,12 @@ def search_step(mesh: SuperMesh, task, phase: str, state: SearchState, rng,
         if struct_params:
             state.opt_struct.step(struct_params, struct_grads, lr=lr)
         if mesh.perms_trainable:
-            dual_update(state.alm, reparametrize(mesh.p_raw, mesh.epsilon)[0])
+            dual_update(state.alm, mesh.perm_tildes())
             rho_schedule(state.alm)
         state.weight_step += 1
     elif phase == "arch":
-        g_theta = gumbel_backward(m, state.tau, grads.m, frozen=mesh.frozen)
+        g_theta = np.zeros_like(mesh.theta) if grads.m is None else \
+            gumbel_backward(m, state.tau, grads.m, frozen=mesh.frozen)
         g_theta += mesh.keep_prob_theta_grad(coeff * prox_grads.d_keep)
         state.opt_arch.step([mesh.theta], [g_theta])
     else:
@@ -231,7 +232,7 @@ def search_step(mesh: SuperMesh, task, phase: str, state: SearchState, rng,
 
 def legalize_mesh(mesh: SuperMesh, spl: SplConfig, rng):
     """Force every crossing layer to a legal permutation and freeze it."""
-    p_tildes = reparametrize(mesh.p_raw, mesh.epsilon)[0]
+    p_tildes = mesh.perm_tildes()
     for b in range(mesh.n_blocks):
         mesh.p_raw[b] = spl_legalize(p_tildes[b], spl, rng)
     mesh.perms_trainable = False
@@ -240,7 +241,7 @@ def legalize_mesh(mesh: SuperMesh, spl: SplConfig, rng):
 def mesh_to_topology(mesh: SuperMesh, keep, pdk_name: str) -> Topology:
     """Extract the discrete design for the kept blocks."""
     blocks_u, blocks_v = [], []
-    p_tildes = reparametrize(mesh.p_raw, mesh.epsilon)[0]
+    p_tildes = mesh.perm_tildes()
     for b in range(mesh.n_blocks):
         if not keep[b]:
             continue

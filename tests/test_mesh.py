@@ -1,4 +1,5 @@
 """Forward model layers, composition, tiling, and analytic gradients."""
+import copy
 import math
 
 import numpy as np
@@ -484,6 +485,7 @@ def test_fixed_topology_backward_returns_no_structure_grads():
     _, g_w = task.loss_and_grad(w)
     grads = mesh.backward(cache, g_w)
     assert grads.p_raw is None and grads.t_latent is None
+    assert grads.m is None  # every gate of a fixed topology is frozen
 
     def value():
         w, _ = mesh.forward(gates, binarize=True)
@@ -517,3 +519,89 @@ def test_frozen_permutations_keep_coupler_grads():
         for a, n, rel in fd_check(value, mesh.t_latent[b],
                                   frozen.t_latent[b], coords):
             assert rel < 1e-4, (b, a, n, rel)
+
+
+# ---------------------------------------------------------------------------
+# the block structure cache: P~, T and P~T are rebuilt only when their inputs
+# change by value, and every consumer reads the same read-only arrays
+
+def _rebuilt(mesh):
+    """A new mesh holding copies of the parameters and no cached state."""
+    fresh = SuperMesh(mesh.k, mesh.n_u, mesh.n_v, m_rows=mesh.m_rows,
+                      n_cols=mesh.n_cols, epsilon=mesh.epsilon)
+    fresh.offsets = list(mesh.offsets)
+    fresh.phi, fresh.sigma = mesh.phi.copy(), mesh.sigma.copy()
+    fresh.p_raw = mesh.p_raw.copy()
+    fresh.t_latent = [t.copy() for t in mesh.t_latent]
+    return fresh
+
+
+def _edit_in_place(mesh, what):
+    """Apply one in-place edit to a cached mesh; returns the binarize flag of
+    the next forward pass."""
+    if what == "p_raw":
+        mesh.p_raw[1] = mesh.p_raw[1][::-1].copy()
+    elif what == "t_latent":
+        mesh.t_latent[2][0] = -mesh.t_latent[2][0]   # crosses zero: flips
+    elif what == "offsets":
+        mesh.offsets[1] = 1 - mesh.offsets[1]          # odd K: same slot count
+    elif what == "epsilon":
+        mesh.epsilon = 0.3                             # block 0's rows round
+    return what != "binarize"
+
+
+STRUCTURE_KEYS = ("p_tildes", "t_mats", "pt_t")
+
+
+@pytest.mark.parametrize("what", ["p_raw", "t_latent", "offsets", "epsilon",
+                                  "binarize"])
+def test_structure_cache_sees_in_place_edits(what):
+    mesh, _ = _fd_mesh(k=7, m_rows=10, n_cols=12, seed=27)
+    mesh.p_raw[0] = np.eye(7) + 0.05   # row max 0.78: rounds only at eps 0.3
+    gates = certainty_gates(mesh.n_blocks)
+    before, first = mesh.forward(gates, binarize=True)
+    held = {key: first[key].copy() for key in STRUCTURE_KEYS}
+    binarize = _edit_in_place(mesh, what)
+    after, cache = mesh.forward(gates, binarize=binarize)
+    fresh, fresh_cache = _rebuilt(mesh).forward(gates, binarize=binarize)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, fresh)
+    for key in STRUCTURE_KEYS:
+        assert np.array_equal(cache[key], fresh_cache[key])
+        # a rebuild replaces the cached arrays: the earlier pass keeps its own
+        assert np.array_equal(first[key], held[key])
+    oracle = weight_partition_oracle(mesh, gates, binarize=binarize).assemble()
+    np.testing.assert_allclose(after, oracle, rtol=0.0, atol=1e-12)
+
+
+def test_fixed_topology_retrain_builds_the_structure_once(monkeypatch):
+    from helpers import random_topology
+    from ptcsearch import mesh as mesh_module
+    from ptcsearch.tasks import NoiseModel, robustness_sweep, variation_aware_train
+
+    calls = {"reparametrize": 0, "coupler_matrix": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(mesh_module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(mesh_module, name, counted)
+    rng = np.random.default_rng(28)
+    topology = random_topology(8, 3, 3, rng)
+    task = MatrixFitTask(random_unitary(8, rng))
+    mesh, _ = variation_aware_train(topology, task, NoiseModel(0.02), steps=20,
+                                    rng=rng)
+    robustness_sweep(mesh, task, [0.0, 0.02, 0.05], 3, rng)
+    assert calls == {"reparametrize": 1, "coupler_matrix": 1}
+
+
+def test_structure_cache_entries_are_read_only():
+    mesh, _ = _fd_mesh(seed=29)
+    gates = certainty_gates(mesh.n_blocks)
+    _, cache = mesh.forward(gates)
+    assert mesh.perm_tildes() is cache["p_tildes"]
+    # a deep copy (as inject_phase_noise makes) builds its own read-only cache
+    _, copy_cache = copy.deepcopy(mesh).forward(gates)
+    for entries in (cache, copy_cache):
+        for key in ("p_tildes", "t_mats"):
+            with pytest.raises(ValueError):
+                entries[key][0, 0, 0] = 1.0

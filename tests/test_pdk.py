@@ -185,6 +185,8 @@ def test_footprint_exact_matches_manual_sum():
 # expected footprint and the proxy
 
 class StubMesh:
+    perms_trainable = True
+
     def __init__(self, k, probs, counts, tqs=None, ptildes=None):
         self.k = k
         self._probs = np.asarray(probs, dtype=float)

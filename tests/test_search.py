@@ -1,4 +1,5 @@
 """Gate sampling, schedules, phase alternation, and SubMesh extraction."""
+import copy
 import itertools
 import math
 
@@ -11,12 +12,16 @@ from ptcsearch import (
     InfeasibleError,
     MatrixFitTask,
     PenaltyConfig,
+    SplConfig,
+    StateError,
     SuperMesh,
     footprint_exact,
     load_pdk,
     run_search,
 )
+from ptcsearch import search as search_module
 from ptcsearch.netlist import dumps_canonical, topology_to_doc
+from ptcsearch.optim import Adam
 from ptcsearch.permutation import AlmState, perm_array_to_matrix
 from ptcsearch.search import (
     SearchConfig,
@@ -185,6 +190,20 @@ def test_arch_phase_leaves_weights_untouched():
         assert np.array_equal(t, t0)
 
 
+def test_arch_step_with_every_gate_frozen():
+    # backward returns no gate cotangent when every gate is frozen; the arch
+    # step then takes the zero theta gradient the frozen Gumbel backward gives
+    mesh, state, task = _small_setup()
+    mesh.frozen[:] = True
+    mesh.theta = np.random.default_rng(3).normal(size=mesh.theta.shape)
+    expected = mesh.theta.copy()
+    Adam(lr=state.schedule.arch_lr,
+         weight_decay=state.schedule.arch_weight_decay).step(
+        [expected], [np.zeros_like(expected)])
+    search_step(mesh, task, "arch", state, np.random.default_rng(1))
+    assert np.array_equal(mesh.theta, expected)
+
+
 def test_weights_phase_leaves_theta_untouched():
     mesh, state, task = _small_setup()
     rng = np.random.default_rng(2)
@@ -221,6 +240,66 @@ def test_post_spl_step_skips_the_alm_term(monkeypatch):
     monkeypatch.setattr("ptcsearch.search.alm_loss", unexpected)
     record = search_step(mesh, task, "weights", state, np.random.default_rng(5))
     assert record["alm"] == 0.0
+
+
+class _PermsTrainableView:
+    """A mesh seen with trainable permutations, so the footprint proxy forms
+    its P~ cotangent."""
+
+    perms_trainable = True
+
+    def __init__(self, mesh):
+        self._mesh = mesh
+
+    def __getattr__(self, name):
+        return getattr(self._mesh, name)
+
+
+@pytest.mark.parametrize("phase", ["weights", "arch"])
+def test_post_spl_step_skips_the_proxy_permutation_cotangent(monkeypatch, phase):
+    # nothing reads d_ptilde once SPL froze the permutations: the proxy
+    # returns None, and the step logs and updates exactly as when it was formed
+    mesh, state, task = _small_setup()
+    legalize_mesh(mesh, SplConfig(), np.random.default_rng(4))
+    twin, twin_state = copy.deepcopy(mesh), copy.deepcopy(state)
+    proxy = search_module.footprint_proxy
+    seen = []
+
+    def recording(mesh_arg, *args, **kwargs):
+        seen.append(proxy(mesh_arg, *args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(search_module, "footprint_proxy", recording)
+    record = search_step(mesh, task, phase, state, np.random.default_rng(5))
+    assert seen[-1][1].d_ptilde is None
+
+    def forming(mesh_arg, *args, **kwargs):
+        seen.append(proxy(_PermsTrainableView(mesh_arg), *args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(search_module, "footprint_proxy", forming)
+    twin_record = search_step(twin, task, phase, twin_state,
+                              np.random.default_rng(5))
+    assert seen[-1][1].d_ptilde is not None
+    assert record == twin_record
+    for a, b in ((mesh.phi, twin.phi), (mesh.sigma, twin.sigma),
+                 (mesh.theta, twin.theta), (mesh.p_raw, twin.p_raw)):
+        assert np.array_equal(a, b)
+    assert all(np.array_equal(a, b) for a, b in zip(mesh.t_latent, twin.t_latent))
+
+
+def test_struct_optimizer_must_restart_when_spl_freezes_permutations():
+    # the structure moments pair with [t_latent..., p_raw]; after SPL the group
+    # is the couplers only, so reusing the optimizer is refused, and the fresh
+    # one run_search starts is accepted
+    mesh, state, task = _small_setup()
+    search_step(mesh, task, "weights", state, np.random.default_rng(5))
+    legalize_mesh(mesh, SplConfig(), np.random.default_rng(4))
+    with pytest.raises(StateError):
+        search_step(mesh, task, "weights", state, np.random.default_rng(6))
+    state.opt_struct = Adam(lr=state.schedule.lr)
+    search_step(mesh, task, "weights", state, np.random.default_rng(6))
+
 
 @pytest.mark.parametrize("spe,warmup,spl,n_steps", [(1, 1, 2, 2), (2, 10, 51, 82)])
 def test_alm_budget_counts_pre_spl_weight_steps(spe, warmup, spl, n_steps):

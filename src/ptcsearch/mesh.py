@@ -283,12 +283,6 @@ class SuperMesh:
         self.couplers_trainable = True
         self._structure = {}
 
-    def __getstate__(self):
-        # a copy builds its own structure cache, so its entries stay read-only
-        state = self.__dict__.copy()
-        state["_structure"] = {}
-        return state
-
     # -- structure helpers --------------------------------------------------
 
     def local_index(self, b: int) -> int:
@@ -345,13 +339,13 @@ class SuperMesh:
 
     # -- block structure cache ----------------------------------------------
     #
-    # The relaxed permutations P~, the coupler columns T and their product
-    # P~T stay fixed over runs of steps: arch steps, the forward after a dual
-    # update, every step after SPL and a whole fixed-topology retrain. Each
-    # part is rebuilt only when its inputs differ by value from a copy taken
-    # at its last build, so in-place edits of p_raw, t_latent, offsets or
-    # epsilon are seen. The cached arrays are read-only and are replaced, not
-    # written, on a rebuild, so a forward cache holding them stays valid.
+    # The relaxed permutations P~ and the coupler columns T stay fixed over
+    # runs of steps: arch steps, the forward after a dual update, P~ after
+    # SPL, and both over a whole fixed-topology retrain. Each part is rebuilt
+    # only when its inputs differ by value from a copy taken at its last
+    # build, so in-place edits of p_raw, t_latent, offsets or epsilon are
+    # seen. The cached arrays are read-only and are replaced, not written, on
+    # a rebuild, so a forward cache holding them stays valid.
 
     def _perm_structure(self):
         """(P~ stack, reparametrize cache), keyed on p_raw and epsilon."""
@@ -359,33 +353,32 @@ class SuperMesh:
         if not (c.get("epsilon") == self.epsilon
                 and np.array_equal(c.get("p_raw"), self.p_raw)):
             p_tildes, p_cache = reparametrize(self.p_raw, self.epsilon)
-            c.update(p_raw=self.p_raw.copy(), epsilon=self.epsilon, pt_t=None,
+            c.update(p_raw=self.p_raw.copy(), epsilon=self.epsilon,
                      p_tildes=_read_only(p_tildes),
                      p_cache={n: _read_only(a) for n, a in p_cache.items()})
         return c["p_tildes"], c["p_cache"]
 
     def _coupler_structure(self, binarize):
         """(flat effective transmissions, (B, K, K) coupler columns), keyed on
-        those transmissions, the offsets, the per-block slot counts and
-        binarize."""
+        the t_latent values, the offsets, the per-block slot counts and
+        binarize.
+
+        The key is the latents themselves, not their binarized values, so
+        during a search T is rebuilt after every coupler update rather than
+        on every coupler flip: the builds per step follow the schedule, not
+        the data.
+        """
         c = self._structure
-        t_eff = self._t_eff(binarize)
+        t_raw = self._t_eff(False)
         lengths = [t.shape[0] for t in self.t_latent]
         key = (list(self.offsets), lengths, binarize)
-        if not (c.get("t_key") == key and np.array_equal(c.get("t_eff"), t_eff)):
+        if not (c.get("t_key") == key and np.array_equal(c.get("t_raw"), t_raw)):
+            t_eff = quantize_coupler(t_raw) if binarize else t_raw
             t_mats = coupler_matrix(_split_slots(t_eff, lengths), self.k,
                                     self.offsets)
-            c.update(t_key=key, t_eff=_read_only(t_eff), pt_t=None,
-                     t_mats=_read_only(t_mats))
+            c.update(t_key=key, t_raw=_read_only(t_raw),
+                     t_eff=_read_only(t_eff), t_mats=_read_only(t_mats))
         return c["t_eff"], c["t_mats"]
-
-    def _block_structure(self, binarize):
-        """Both parts above and their product P~T, built when either changed."""
-        p_tildes, p_cache = self._perm_structure()
-        t_eff, t_mats = self._coupler_structure(binarize)
-        if self._structure["pt_t"] is None:
-            self._structure["pt_t"] = _read_only(p_tildes @ t_mats)
-        return p_tildes, p_cache, t_eff, t_mats, self._structure["pt_t"]
 
     def hard_perm_estimate(self, pt: np.ndarray) -> np.ndarray:
         """Deterministic legal-permutation estimate of a block's relaxed
@@ -423,8 +416,8 @@ class SuperMesh:
     # -- forward / backward -------------------------------------------------
     #
     # All P x Q tiles and all B blocks run at once. The block structure cache
-    # gives the relaxed permutations P~, the (B, K, K) coupler columns T and
-    # P~T, and every block transfer is formed as one stack
+    # gives the relaxed permutations P~ and the (B, K, K) coupler columns T,
+    # and every block transfer is formed as one stack
     # A[p, q, b] = (P~_b T_b) * r[p, q, b][None, :] with r = exp(-j phi). The
     # Python loops run over the blocks of each U/V chain and hold only the
     # chain matmuls; every per-block cotangent is reduced after the loop by
@@ -438,13 +431,15 @@ class SuperMesh:
         phi_noise: optional array broadcastable to phi, added to the phases.
         Returns (W, cache); cache["p_tildes"] holds the (B, K, K) relaxed
         permutations for the step's ALM and footprint terms. The structure
-        entries (p_tildes, p_cache, t_eff, t_mats, pt_t) are read-only.
+        entries (p_tildes, p_cache, t_eff, t_mats) are read-only.
         """
         k = self.k
         m_weights = np.asarray(m_weights)
         phi_eff = self.phi if phi_noise is None else self.phi + phi_noise
         r = np.exp(-1j * phi_eff)                          # (P, Q, B, K)
-        p_tildes, p_cache, t_eff, t_mats, pt_t = self._block_structure(binarize)
+        p_tildes, p_cache = self._perm_structure()
+        t_eff, t_mats = self._coupler_structure(binarize)
+        pt_t = p_tildes @ t_mats                           # (B, K, K)
         amats = pt_t * r[..., None, :]                     # (P, Q, B, K, K)
         # gated factors m1 I + m2 A: scale A, then add m1 on the diagonals
         mats = m_weights[:, 1, None, None] * amats

@@ -1,5 +1,4 @@
 """Forward model layers, composition, tiling, and analytic gradients."""
-import copy
 import math
 
 import numpy as np
@@ -550,7 +549,7 @@ def _edit_in_place(mesh, what):
     return what != "binarize"
 
 
-STRUCTURE_KEYS = ("p_tildes", "t_mats", "pt_t")
+STRUCTURE_KEYS = ("p_tildes", "t_mats")
 
 
 @pytest.mark.parametrize("what", ["p_raw", "t_latent", "offsets", "epsilon",
@@ -599,9 +598,6 @@ def test_structure_cache_entries_are_read_only():
     gates = certainty_gates(mesh.n_blocks)
     _, cache = mesh.forward(gates)
     assert mesh.perm_tildes() is cache["p_tildes"]
-    # a deep copy (as inject_phase_noise makes) builds its own read-only cache
-    _, copy_cache = copy.deepcopy(mesh).forward(gates)
-    for entries in (cache, copy_cache):
-        for key in ("p_tildes", "t_mats"):
-            with pytest.raises(ValueError):
-                entries[key][0, 0, 0] = 1.0
+    for key in ("p_tildes", "t_mats"):
+        with pytest.raises(ValueError):
+            cache[key][0, 0, 0] = 1.0

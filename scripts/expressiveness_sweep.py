@@ -31,8 +31,8 @@ def train_fixed_structure(n_blocks, seed, k, steps, lr, target_seed):
         w, cache = mesh.forward(gates, binarize=True)
         _, g_w = task.loss_and_grad(w)
         grads = mesh.backward(cache, g_w)
-        opt.step([mesh.phi, mesh.sigma] + mesh.t_latent,
-                 [grads.phi, grads.sigma] + grads.t_latent)
+        opt.step([mesh.phi, mesh.sigma, mesh.t_flat],
+                 [grads.phi, grads.sigma, grads.t_latent])
     w, _ = mesh.forward(gates, binarize=True)
     return task.evaluate(w)
 

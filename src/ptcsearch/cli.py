@@ -12,6 +12,7 @@ from .netlist import (
     config_hash,
     doc_to_topology,
     dumps_canonical,
+    read_json,
     read_netlist,
     topology_to_doc,
     write_netlist,
@@ -182,15 +183,24 @@ def cmd_footprint(args):
 
 
 def cmd_legalize(args):
-    with open(args.checkpoint, "r") as fh:
-        doc = json.load(fh)
+    doc = read_json(args.checkpoint)
+    for key in ("k", "p_raw"):
+        if not isinstance(doc, dict) or key not in doc:
+            raise ConfigError(f"checkpoint is missing field '{key}'")
+    try:
+        p_raw = np.asarray(doc["p_raw"], dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError("checkpoint p_raw is not a numeric array") from None
+    k = doc["k"]
+    if p_raw.size and (p_raw.ndim != 3 or p_raw.shape[1:] != (k, k)):
+        raise ConfigError("checkpoint p_raw must be a list of k x k matrices")
     rng = np.random.default_rng(args.seed)
     cfg = SplConfig(max_attempts=args.max_attempts)
     perms = []
-    for raw in doc["p_raw"]:
-        legal = spl_legalize(np.asarray(raw, dtype=float), cfg, rng)
+    for raw in p_raw:
+        legal = spl_legalize(raw, cfg, rng)
         perms.append([int(v) for v in perm_matrix_to_array(legal)])
-    out_doc = {"k": doc["k"], "permutations": perms, "seed": args.seed}
+    out_doc = {"k": k, "permutations": perms, "seed": args.seed}
     text = dumps_canonical(out_doc)
     if args.out:
         atomic_write_text(args.out, text)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, DomainError
-from .pdk import count_crossings
+from .pdk import BlockCounts, count_crossings, dc_proxy_counts, perm_proxy_terms
 from .permutation import (
     init_smoothed_identity,
     perm_array_to_matrix,
@@ -66,7 +66,7 @@ def _slot_index(k: int, offsets):
 def _split_slots(flat, counts):
     """Per-block views of a flat per-slot array, given the slot counts."""
     ends = np.cumsum(counts).tolist()
-    return [flat[end - n:end] for n, end in zip(counts, ends)]
+    return tuple(flat[end - n:end] for n, end in zip(counts, ends))
 
 
 def coupler_matrix(t_values, k: int, offset) -> np.ndarray:
@@ -242,14 +242,18 @@ class MeshGrads:
 
     phi: np.ndarray       # (P, Q, B, K)
     sigma: np.ndarray     # (P, Q, K)
-    t_latent: list        # per block, (slots,); None when couplers are frozen
+    t_latent: np.ndarray  # (S,) like t_flat; None when couplers are frozen
     p_raw: np.ndarray     # (B, K, K); None when permutations are frozen
     m: np.ndarray         # (B, 2) gate-weight cotangents; None if all frozen
 
 
 class SuperMesh:
     """Over-parameterized circuit: per-block phases, coupler latents, relaxed
-    permutations, gate logits, and per-tile diagonal scales."""
+    permutations, gate logits, and per-tile diagonal scales.
+
+    The coupler latents of all blocks live in one flat array t_flat, block
+    after block; t_latent is a tuple of writable per-block views into it.
+    """
 
     def __init__(self, k, n_u, n_v, m_rows=None, n_cols=None,
                  n_frozen_u=0, n_frozen_v=0, rng=None, epsilon=0.05):
@@ -269,8 +273,8 @@ class SuperMesh:
         self.offsets = [coupler_offset(self.local_index(i)) for i in range(b)]
         self.phi = rng.uniform(-np.pi, np.pi, (self.p_tiles, self.q_tiles, b, k))
         self.sigma = rng.uniform(-1.0, 1.0, (self.p_tiles, self.q_tiles, k))
-        self.t_latent = [rng.uniform(-1.0, 1.0, n_coupler_slots(k, o))
-                         for o in self.offsets]
+        self.t_flat = rng.uniform(-1.0, 1.0, sum(n_coupler_slots(k, o)
+                                                 for o in self.offsets))
         self.p_raw = np.stack([init_smoothed_identity(k) for _ in range(b)])
         self.theta = np.zeros((b, 2))
         self.frozen = np.zeros(b, dtype=bool)
@@ -294,6 +298,15 @@ class SuperMesh:
     def v_block_ids(self):
         return list(range(self.n_u, self.n_blocks))
 
+    @property
+    def t_latent(self):
+        """Per-block coupler latents: a tuple of writable views into t_flat,
+        so write a block in place (t_latent[b][:] = x)."""
+        counts = [n_coupler_slots(self.k, o) for o in self.offsets]
+        if sum(counts) != self.t_flat.size:
+            raise DomainError("t_flat length does not match K and the offsets")
+        return _split_slots(self.t_flat, counts)
+
     @classmethod
     def from_topology(cls, topology: Topology, m_rows=None, n_cols=None, rng=None):
         """Fixed-structure mesh: all gates certain, couplers and permutations
@@ -305,10 +318,13 @@ class SuperMesh:
         mesh.couplers_trainable = False
         for b, blk in enumerate(topology.blocks):
             mesh.offsets[b] = blk.offset
-            mesh.t_latent[b] = np.where(blk.coupler_mask, -1.0, 1.0)
             mesh.p_raw[b] = perm_array_to_matrix(blk.perm)
             if blk.phases is not None:
                 mesh.phi[:, :, b, :] = blk.phases
+        # the slot counts follow the offsets, which may differ from the
+        # default interleave: rebuild the flat latents to match
+        mesh.t_flat = np.concatenate([np.where(blk.coupler_mask, -1.0, 1.0)
+                                      for blk in topology.blocks])
         return mesh
 
     # -- views consumed by footprint accounting -----------------------------
@@ -324,18 +340,19 @@ class SuperMesh:
         g_keep = g_prob * p * (1.0 - p)
         return np.stack([-g_keep, g_keep], axis=-1)
 
-    def _t_eff(self, binarize):
-        """Effective transmissions of all slots as one flat array (a copy)."""
-        flat = np.concatenate(self.t_latent).astype(float, copy=False)
-        return quantize_coupler(flat) if binarize else flat
-
-    def coupler_tq(self):
-        """Binarized transmissions, one array per block (views of one array)."""
-        return _split_slots(self._t_eff(True), [t.shape[0] for t in self.t_latent])
-
     def perm_tildes(self):
         """The (B, K, K) relaxed permutations P~ (cached, read-only)."""
-        return self._perm_structure()[0]
+        return self._perm_structure()["p_tildes"]
+
+    def footprint_counts(self) -> BlockCounts:
+        """Per-block device counts for the footprint terms (cached,
+        read-only): discrete counts from the binarized couplers and the hard
+        permutation estimates, and the proxy terms."""
+        c = self._perm_structure()
+        self._coupler_structure()
+        return BlockCounts(n_dc=c["n_dc"], n_cr=c["n_cr"],
+                           dc_proxy=c["dc_proxy"], p_diff=c["p_diff"],
+                           p_sqdist=c["p_sqdist"], slot_block=c["slots"][0])
 
     # -- block structure cache ----------------------------------------------
     #
@@ -343,25 +360,39 @@ class SuperMesh:
     # runs of steps: arch steps, the forward after a dual update, P~ after
     # SPL, and both over a whole fixed-topology retrain. Each part is rebuilt
     # only when its inputs differ by value from a copy taken at its last
-    # build, so in-place edits of p_raw, t_latent, offsets or epsilon are
-    # seen. The cached arrays are read-only and are replaced, not written, on
-    # a rebuild, so a forward cache holding them stays valid.
+    # build, so in-place edits of p_raw, t_flat, offsets or epsilon are seen.
+    # Everything the footprint terms count is built with its part, so a step
+    # that reuses a part recounts nothing. The cached arrays are read-only
+    # and are replaced, not written, on a rebuild, so a forward cache holding
+    # them stays valid.
 
     def _perm_structure(self):
-        """(P~ stack, reparametrize cache), keyed on p_raw and epsilon."""
+        """The P~ part, keyed on p_raw and epsilon: P~, the reparametrize
+        cache, the crossing counts of the hard permutation estimates, and the
+        proxy terms P~ - I and ||P~ - I||_F^2. Returns the cache dict."""
         c = self._structure
         if not (c.get("epsilon") == self.epsilon
                 and np.array_equal(c.get("p_raw"), self.p_raw)):
             p_tildes, p_cache = reparametrize(self.p_raw, self.epsilon)
+            # blocks whose row argmax is already a permutation skip the
+            # greedy estimate; all crossings are counted by one call
+            hard = np.argmax(p_tildes, axis=-1)
+            legal = np.all(np.sort(hard, axis=-1) == np.arange(self.k), axis=-1)
+            for b in np.flatnonzero(~legal):
+                hard[b] = self.hard_perm_estimate(p_tildes[b])
+            p_diff, p_sqdist = perm_proxy_terms(p_tildes)
             c.update(p_raw=self.p_raw.copy(), epsilon=self.epsilon,
                      p_tildes=_read_only(p_tildes),
-                     p_cache={n: _read_only(a) for n, a in p_cache.items()})
-        return c["p_tildes"], c["p_cache"]
+                     p_cache={n: _read_only(a) for n, a in p_cache.items()},
+                     n_cr=_read_only(count_crossings(hard)),
+                     p_diff=_read_only(p_diff), p_sqdist=_read_only(p_sqdist))
+        return c
 
-    def _coupler_structure(self, binarize):
-        """(flat effective transmissions, (B, K, K) coupler columns), keyed on
-        the t_latent values, the offsets, the per-block slot counts and
-        binarize.
+    def _coupler_structure(self):
+        """The counting half of the T part, keyed on the t_flat values and
+        the offsets: the flat slot index, the binarized transmissions, the
+        discrete coupler counts and the linear-in-t proxy counts. Returns
+        the cache dict.
 
         The key is the latents themselves, not their binarized values, so
         during a search T is rebuilt after every coupler update rather than
@@ -369,16 +400,34 @@ class SuperMesh:
         the data.
         """
         c = self._structure
-        t_raw = self._t_eff(False)
-        lengths = [t.shape[0] for t in self.t_latent]
-        key = (list(self.offsets), lengths, binarize)
-        if not (c.get("t_key") == key and np.array_equal(c.get("t_raw"), t_raw)):
-            t_eff = quantize_coupler(t_raw) if binarize else t_raw
-            t_mats = coupler_matrix(_split_slots(t_eff, lengths), self.k,
-                                    self.offsets)
-            c.update(t_key=key, t_raw=_read_only(t_raw),
-                     t_eff=_read_only(t_eff), t_mats=_read_only(t_mats))
-        return c["t_eff"], c["t_mats"]
+        offsets = list(self.offsets)
+        if not (c.get("offsets") == offsets
+                and np.array_equal(c.get("t_raw"), self.t_flat)):
+            blk, a, counts = _slot_index(self.k, offsets)
+            if counts.sum() != self.t_flat.size:
+                raise DomainError("t_flat length does not match K and the offsets")
+            t_raw = self.t_flat.astype(float)
+            t_q = quantize_coupler(t_raw)
+            c.update(offsets=offsets, t_raw=_read_only(t_raw),
+                     slots=(_read_only(blk), _read_only(a)), slot_counts=counts,
+                     t_q=_read_only(t_q),
+                     n_dc=_read_only(np.bincount(blk[t_raw < 0.0],
+                                                 minlength=len(offsets))),
+                     dc_proxy=_read_only(dc_proxy_counts(t_q, counts)),
+                     t_binarize=None)
+        return c
+
+    def _coupler_columns(self, binarize):
+        """The (B, K, K) coupler columns T of the effective transmissions,
+        built with the counting half and additionally keyed on binarize.
+        Returns the cache dict."""
+        c = self._coupler_structure()
+        if c["t_binarize"] != binarize:
+            t_eff = c["t_q"] if binarize else c["t_raw"]
+            t_mats = coupler_matrix(_split_slots(t_eff, c["slot_counts"]),
+                                    self.k, c["offsets"])
+            c.update(t_binarize=binarize, t_eff=t_eff, t_mats=_read_only(t_mats))
+        return c
 
     def hard_perm_estimate(self, pt: np.ndarray) -> np.ndarray:
         """Deterministic legal-permutation estimate of a block's relaxed
@@ -396,22 +445,10 @@ class SuperMesh:
             taken[j] = True
         return perm
 
-    def discrete_block_counts(self, p_tildes=None):
-        """Per-block (n_dc, n_cr) using binarized couplers and hard perms.
-
-        p_tildes: the (B, K, K) relaxed permutations, if the caller already
-        has them. Blocks whose row argmax is already a permutation skip the
-        greedy estimate; all crossings are counted by one call.
-        """
-        if p_tildes is None:
-            p_tildes = self.perm_tildes()
-        hard = np.argmax(p_tildes, axis=-1)
-        legal = np.all(np.sort(hard, axis=-1) == np.arange(self.k), axis=-1)
-        for b in np.flatnonzero(~legal):
-            hard[b] = self.hard_perm_estimate(p_tildes[b])
-        n_cr = count_crossings(hard)
-        n_dc = [int(np.count_nonzero(t < 0.0)) for t in self.t_latent]
-        return list(zip(n_dc, n_cr.tolist()))
+    def discrete_block_counts(self):
+        """Per-block (n_dc, n_cr) using binarized couplers and hard perms."""
+        counts = self.footprint_counts()
+        return list(zip(counts.n_dc.tolist(), counts.n_cr.tolist()))
 
     # -- forward / backward -------------------------------------------------
     #
@@ -430,15 +467,16 @@ class SuperMesh:
         m_weights: (B, 2) gate weights (sampled or certain).
         phi_noise: optional array broadcastable to phi, added to the phases.
         Returns (W, cache); cache["p_tildes"] holds the (B, K, K) relaxed
-        permutations for the step's ALM and footprint terms. The structure
-        entries (p_tildes, p_cache, t_eff, t_mats) are read-only.
+        permutations for the step's ALM term. The structure entries
+        (p_tildes, p_cache, t_eff, t_mats, slots) are read-only.
         """
         k = self.k
         m_weights = np.asarray(m_weights)
         phi_eff = self.phi if phi_noise is None else self.phi + phi_noise
         r = np.exp(-1j * phi_eff)                          # (P, Q, B, K)
-        p_tildes, p_cache = self._perm_structure()
-        t_eff, t_mats = self._coupler_structure(binarize)
+        c = self._perm_structure()
+        self._coupler_columns(binarize)
+        p_tildes, t_mats = c["p_tildes"], c["t_mats"]
         pt_t = p_tildes @ t_mats                           # (B, K, K)
         amats = pt_t * r[..., None, :]                     # (P, Q, B, K, K)
         # gated factors m1 I + m2 A: scale A, then add m1 on the diagonals
@@ -458,8 +496,9 @@ class SuperMesh:
         w_tiles = u_n @ (self.sigma[..., :, None] * v_n)
         w_pad = w_tiles.transpose(0, 2, 1, 3).reshape(self.p_tiles * k,
                                                       self.q_tiles * k)
-        cache = {"p_tildes": p_tildes, "p_cache": p_cache, "t_eff": t_eff,
-                 "t_mats": t_mats, "pt_t": pt_t, "r": r, "mats": mats,
+        cache = {"p_tildes": p_tildes, "p_cache": c["p_cache"],
+                 "t_eff": c["t_eff"], "t_mats": t_mats, "slots": c["slots"],
+                 "pt_t": pt_t, "r": r, "mats": mats,
                  "amats": amats, "chains": chains,
                  "u_norms": u_norms, "v_norms": v_norms, "u_n": u_n, "v_n": v_n,
                  "m": m_weights, "binarize": binarize}
@@ -478,8 +517,9 @@ class SuperMesh:
 
     def backward(self, cache, g_w, extra_ptilde=None, extra_tq=None):
         """Reverse pass. g_w is the cotangent of the truncated weight matrix;
-        extra_ptilde / extra_tq are per-block cotangents injected on the
-        relaxed permutations and binarized transmissions (ALM, proxy).
+        extra_ptilde ((B, K, K)) and extra_tq ((S,), like t_flat) are
+        cotangents injected on the relaxed permutations and binarized
+        transmissions (ALM, proxy).
 
         The p_raw (t_latent) gradient is None when the mesh holds its
         permutations (couplers) frozen; extra_ptilde (extra_tq) is then unused.
@@ -539,7 +579,7 @@ class SuperMesh:
         if self.couplers_trainable:
             g_t_mat = np.swapaxes(cache["p_tildes"], -1, -2) @ s
             # collapse the coupler-column cotangents onto the slot transmissions
-            blk, a, counts = _slot_index(k, self.offsets)
+            blk, a = cache["slots"]
             t_eff = cache["t_eff"]
             cross = np.sqrt(np.maximum(1.0 - t_eff ** 2, 0.0))
             dcross = -t_eff / np.maximum(cross, 1e-12)
@@ -547,10 +587,9 @@ class SuperMesh:
                     + dcross * (g_t_mat[blk, a, a + 1].imag
                                 + g_t_mat[blk, a + 1, a].imag))
             if extra_tq is not None:
-                g_tq = g_tq + np.concatenate(extra_tq)
-            if cache["binarize"]:
-                g_tq = quantize_coupler_grad(g_tq)
-            g_t_latent = _split_slots(g_tq, counts.tolist())
+                g_tq = g_tq + extra_tq
+            g_t_latent = quantize_coupler_grad(g_tq) if cache["binarize"] \
+                else g_tq
 
         return MeshGrads(phi=g_phi, sigma=g_sigma, t_latent=g_t_latent,
                          p_raw=g_p_raw, m=g_m)

@@ -42,47 +42,71 @@ def topology_to_doc(topology: Topology, pdk: PdkSpec, provenance=None) -> dict:
     }
 
 
+def _field(mapping, key: str, where: str = ""):
+    """mapping[key] of a parsed document; ConfigError names a missing field,
+    or a parent that is not a mapping, by its dotted path."""
+    name = f"{where}.{key}" if where else key
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise ConfigError(f"netlist is missing field '{name}'")
+    return mapping[key]
+
+
 def doc_to_topology(doc: dict) -> Topology:
     """Validate and rebuild a topology; raises ConfigError on violations."""
     for key in ("version", "k", "pdk", "unitaries", "footprint"):
-        if key not in doc:
-            raise ConfigError(f"netlist is missing field '{key}'")
+        _field(doc, key)
     if doc["version"] != NETLIST_VERSION:
         raise ConfigError(f"unsupported netlist version {doc['version']}")
-    k = int(doc["k"])
+    try:
+        k = int(doc["k"])
+    except (TypeError, ValueError):
+        raise ConfigError(f"netlist k {doc['k']!r} is not an integer") from None
 
-    def parse_blocks(entries):
+    def parse_blocks(name):
+        entries = _field(doc["unitaries"], name, "unitaries")
+        if not isinstance(entries, list):
+            raise ConfigError(f"netlist field 'unitaries.{name}' must be a list")
         blocks = []
-        for entry in entries:
-            perm = entry["cr"]
-            if sorted(perm) != list(range(k)):
-                raise ConfigError("cr not a permutation")
-            offset = int(entry["dc"]["offset"])
-            mask = entry["dc"]["mask"]
-            if len(mask) != n_coupler_slots(k, offset):
-                raise ConfigError("dc mask length does not match K and offset")
-            if len(entry["ps"]) != k:
-                raise ConfigError("ps column must hold K phases")
-            blocks.append(TopoBlock(
-                phases=np.asarray(entry["ps"], dtype=float),
-                coupler_mask=np.asarray(mask, dtype=bool),
-                offset=offset,
-                perm=np.asarray(perm, dtype=int),
-            ))
+        for i, entry in enumerate(entries):
+            where = f"unitaries.{name}[{i}]"
+            perm = _field(entry, "cr", where)
+            dc = _field(entry, "dc", where)
+            mask = _field(dc, "mask", where + ".dc")
+            offset = _field(dc, "offset", where + ".dc")
+            phases = _field(entry, "ps", where)
+            try:
+                if sorted(perm) != list(range(k)):
+                    raise ConfigError("cr not a permutation")
+                offset = int(offset)
+                if len(mask) != n_coupler_slots(k, offset):
+                    raise ConfigError("dc mask length does not match K and offset")
+                if len(phases) != k:
+                    raise ConfigError("ps column must hold K phases")
+                blocks.append(TopoBlock(
+                    phases=np.asarray(phases, dtype=float),
+                    coupler_mask=np.asarray(mask, dtype=bool),
+                    offset=offset,
+                    perm=np.asarray(perm, dtype=int),
+                ))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"netlist block {where} is malformed: {exc}") \
+                    from None
         return blocks
 
     topology = Topology(
         k=k,
         pdk_name=str(doc["pdk"]),
-        blocks_u=parse_blocks(doc["unitaries"]["u"]),
-        blocks_v=parse_blocks(doc["unitaries"]["v"]),
+        blocks_u=parse_blocks("u"),
+        blocks_v=parse_blocks("v"),
     )
     pdk = load_pdk(doc["pdk"])
     fp = doc["footprint"]
+    claimed = tuple(_field(fp, key, "footprint")
+                    for key in ("n_blocks", "n_dc", "n_cr", "area_um2"))
     n_cr, n_dc, n_blk = topology.device_counts()
-    if (fp["n_blocks"], fp["n_dc"], fp["n_cr"]) != (n_blk, n_dc, n_cr):
+    if claimed[:3] != (n_blk, n_dc, n_cr):
         raise ConfigError("netlist device counts do not match its blocks")
-    if fp["area_um2"] != footprint_exact(topology, pdk):
+    if claimed[3] != footprint_exact(topology, pdk):
         raise ConfigError("netlist footprint summary does not match its counts")
     return topology
 
@@ -112,9 +136,18 @@ def atomic_write_text(path, text: str):
         raise
 
 
-def read_netlist(path) -> dict:
+def read_json(path):
+    """Parse a JSON file; ConfigError if its text is not JSON."""
     with open(path, "r") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
+            raise ConfigError(f"{path} is not a JSON document: {exc}") from None
+
+
+def read_netlist(path) -> dict:
+    """Parse a netlist file (validate it with doc_to_topology)."""
+    return read_json(path)
 
 
 def config_hash(config_doc) -> str:

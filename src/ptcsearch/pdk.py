@@ -7,6 +7,7 @@ area window. Areas are stored in um^2; reports use the 1/1000 um^2 unit.
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -55,8 +56,13 @@ def load_pdk(source) -> PdkSpec:
         doc = source
     else:
         if isinstance(source, (str, os.PathLike)):
-            with open(source, "r") as fh:
-                doc = yaml.safe_load(fh)
+            try:
+                with open(source, "r") as fh:
+                    doc = yaml.safe_load(fh)
+            except OSError as exc:
+                raise ConfigError(f"PDK {str(source)!r} is neither a builtin "
+                                  f"name nor a readable file: {exc.strerror}") \
+                    from None
         else:
             doc = yaml.safe_load(source)
     if not isinstance(doc, dict):
@@ -165,8 +171,27 @@ def dc_count_diff(t_q: np.ndarray) -> float:
     return float(np.sum(_DC_COUNT_SLOPE * t_q + _DC_COUNT_OFFSET))
 
 
-def dc_count_diff_grad(t_q: np.ndarray) -> np.ndarray:
-    return np.full(np.asarray(t_q).shape, _DC_COUNT_SLOPE)
+def dc_proxy_counts(t_q: np.ndarray, lengths) -> np.ndarray:
+    """Per-block dc_count_diff of a flat transmission array whose blocks
+    hold lengths[b] consecutive slots; a block without slots counts 0."""
+    lengths = np.asarray(lengths, dtype=int)
+    dc_counts = np.zeros(lengths.shape[0])
+    has_slots = lengths > 0
+    if has_slots.any():
+        # reduceat sums each block's segment; blocks without slots are skipped
+        # because reduceat would return the next element for an empty segment
+        starts = np.cumsum(lengths) - lengths
+        per_slot = _DC_COUNT_SLOPE * np.asarray(t_q, dtype=float) + _DC_COUNT_OFFSET
+        dc_counts[has_slots] = np.add.reduceat(per_slot, starts[has_slots])
+    return dc_counts
+
+
+def perm_proxy_terms(p_tildes: np.ndarray):
+    """(P~ - I, ||P~ - I||_F^2 per block) of a (B, K, K) relaxed-permutation
+    stack: the crossing proxy and the array its gradient scales."""
+    p_tildes = np.asarray(p_tildes, dtype=float)
+    diff = p_tildes - np.eye(p_tildes.shape[-1])
+    return diff, np.sum(diff * diff, axis=(-2, -1))
 
 
 def block_footprint(pdk: PdkSpec, k: int, n_dc: int, n_cr: int) -> float:
@@ -190,20 +215,27 @@ def footprint_exact(topology, pdk: PdkSpec) -> float:
     return total
 
 
-def footprint_expected(mesh, pdk: PdkSpec, p_tildes=None) -> float:
+class BlockCounts(NamedTuple):
+    """Per-block device counts a mesh hands to the footprint terms."""
+
+    n_dc: np.ndarray        # (B,) couplers placed by the binarized latents
+    n_cr: np.ndarray        # (B,) crossings of the hard permutation estimates
+    dc_proxy: np.ndarray    # (B,) linear-in-t coupler counts (dc_proxy_counts)
+    p_diff: np.ndarray      # (B, K, K) P~ - I (perm_proxy_terms)
+    p_sqdist: np.ndarray    # (B,) ||P~ - I||_F^2 (perm_proxy_terms)
+    slot_block: np.ndarray  # (S,) block of each coupler slot
+
+
+def footprint_expected(mesh, pdk: PdkSpec) -> float:
     """Probability-weighted exact footprint over the mesh's gate distribution.
 
     Uses each block's noiseless keep probability and its current discrete
-    device counts (binarized couplers, hard-estimated crossings). p_tildes,
-    the step's (B, K, K) relaxed permutations, spares recomputing them.
+    device counts (binarized couplers, hard-estimated crossings), read from
+    mesh.footprint_counts().
     """
-    probs = mesh.keep_probs()
-    if p_tildes is None:
-        counts = mesh.discrete_block_counts()
-    else:
-        counts = mesh.discrete_block_counts(p_tildes)
-    n_dc, n_cr = np.reshape(np.array(counts, dtype=float), (-1, 2)).T
-    return float(probs @ block_footprint(pdk, mesh.k, n_dc, n_cr))
+    counts = mesh.footprint_counts()
+    areas = block_footprint(pdk, mesh.k, counts.n_dc, counts.n_cr)
+    return float(mesh.keep_probs() @ areas)
 
 
 @dataclass
@@ -211,41 +243,30 @@ class ProxyGrads:
     """Partials of the footprint proxy w.r.t. mesh quantities."""
 
     d_keep: np.ndarray   # (B,)
-    d_tq: list           # per block, (slots,)
+    d_tq: np.ndarray     # (S,), one entry per coupler slot, like t_flat
     d_ptilde: np.ndarray  # (B, K, K); None when permutations are frozen
 
 
-def footprint_proxy(mesh, pdk: PdkSpec, penalty: PenaltyConfig, p_tildes=None):
+def footprint_proxy(mesh, pdk: PdkSpec, penalty: PenaltyConfig):
     """Differentiable footprint expectation.
 
     Replaces the crossing count with beta_cr * ||P~ - I||_F^2 and the coupler
-    count with its linear-in-t form. p_tildes, the step's (B, K, K) relaxed
-    permutations, spares reading them from the mesh. Returns (value,
-    ProxyGrads); d_ptilde is None when mesh.perms_trainable is false, since
-    nothing then reads a permutation cotangent.
+    count with its linear-in-t form, both read from mesh.footprint_counts().
+    Returns (value, ProxyGrads); d_ptilde is None when mesh.perms_trainable
+    is false, since nothing then reads a permutation cotangent.
     """
     probs = mesh.keep_probs()
-    tqs = mesh.coupler_tq()
-    if p_tildes is None:
-        p_tildes = mesh.perm_tildes()
-    k = mesh.k
-    diff = np.asarray(p_tildes, dtype=float) - np.eye(k)
-    cr_counts = penalty.beta_cr * np.sum(diff * diff, axis=(-2, -1))
-    dc_counts = np.zeros(len(tqs))
-    lengths = np.array([t.shape[0] for t in tqs], dtype=int)
-    has_slots = lengths > 0
-    if has_slots.any():
-        # reduceat sums each block's segment; blocks without slots are skipped
-        # because reduceat would return the next element for an empty segment
-        starts = np.cumsum(lengths) - lengths
-        per_slot = _DC_COUNT_SLOPE * np.concatenate(tqs) + _DC_COUNT_OFFSET
-        dc_counts[has_slots] = np.add.reduceat(per_slot, starts[has_slots])
-    d_keep = block_footprint(pdk, k, dc_counts, cr_counts)
+    counts = mesh.footprint_counts()
+    d_keep = block_footprint(pdk, mesh.k, counts.dc_proxy,
+                             penalty.beta_cr * counts.p_sqdist)
     value = float(probs @ d_keep)
-    d_tq = [p * pdk.f_dc * dc_count_diff_grad(t) for p, t in zip(probs, tqs)]
+    d_tq = probs[counts.slot_block] * pdk.f_dc * _DC_COUNT_SLOPE
     d_ptilde = None
     if mesh.perms_trainable:
-        d_ptilde = probs[:, None, None] * penalty.beta_cr * pdk.f_cr * 2.0 * diff
+        # scale per block first, then once per entry: each entry sees the
+        # same sequence of products as probs[:, None, None] * ... * p_diff
+        scale = probs * penalty.beta_cr * pdk.f_cr * 2.0
+        d_ptilde = scale[:, None, None] * counts.p_diff
     return value, ProxyGrads(d_keep, d_tq, d_ptilde)
 
 

@@ -171,14 +171,12 @@ def search_step(mesh: SuperMesh, task, phase: str, state: SearchState, rng,
     w, cache = mesh.forward(m, binarize=True)
     task_val, g_w = task.loss_and_grad(w, batch)
 
-    p_tildes = cache["p_tildes"]
     alm_val, extra_ptilde = 0.0, None
     if mesh.perms_trainable:
-        alm_val, alm_grads = alm_loss(p_tildes, state.alm)
+        alm_val, alm_grads = alm_loss(cache["p_tildes"], state.alm)
 
-    exp_exact = footprint_expected(mesh, state.pdk, p_tildes)
-    prox_val, prox_grads = footprint_proxy(mesh, state.pdk,
-                                           state.config.penalty, p_tildes)
+    exp_exact = footprint_expected(mesh, state.pdk)
+    prox_val, prox_grads = footprint_proxy(mesh, state.pdk, state.config.penalty)
     lf_val, coeff = footprint_penalty(prox_val, exp_exact,
                                       state.config.constraint,
                                       state.config.penalty)
@@ -190,9 +188,8 @@ def search_step(mesh: SuperMesh, task, phase: str, state: SearchState, rng,
 
     if mesh.perms_trainable:
         extra_ptilde = alm_grads + coeff * prox_grads.d_ptilde
-    extra_tq = [coeff * g for g in prox_grads.d_tq]
     grads = mesh.backward(cache, g_w, extra_ptilde=extra_ptilde,
-                          extra_tq=extra_tq)
+                          extra_tq=coeff * prox_grads.d_tq)
 
     if phase == "weights":
         lr = cosine_lr(state.schedule.lr, state.weight_step,
@@ -202,8 +199,8 @@ def search_step(mesh: SuperMesh, task, phase: str, state: SearchState, rng,
         state.opt_weights.step(self_params, self_grads, lr=lr)
         struct_params, struct_grads = [], []
         if mesh.couplers_trainable:
-            struct_params += mesh.t_latent
-            struct_grads += grads.t_latent
+            struct_params.append(mesh.t_flat)
+            struct_grads.append(grads.t_latent)
         if mesh.perms_trainable:
             struct_params.append(mesh.p_raw)
             struct_grads.append(grads.p_raw)
@@ -242,6 +239,7 @@ def mesh_to_topology(mesh: SuperMesh, keep, pdk_name: str) -> Topology:
     """Extract the discrete design for the kept blocks."""
     blocks_u, blocks_v = [], []
     p_tildes = mesh.perm_tildes()
+    t_latent = mesh.t_latent
     for b in range(mesh.n_blocks):
         if not keep[b]:
             continue
@@ -250,7 +248,7 @@ def mesh_to_topology(mesh: SuperMesh, keep, pdk_name: str) -> Topology:
             raise StateError(f"block {b} permutation is not legalized")
         blk = TopoBlock(
             phases=mesh.phi[0, 0, b].copy(),
-            coupler_mask=mesh.t_latent[b] < 0.0,
+            coupler_mask=t_latent[b] < 0.0,
             offset=mesh.offsets[b],
             perm=perm_matrix_to_array(pt),
         )
@@ -265,9 +263,8 @@ def sample_submesh(mesh: SuperMesh, c: FootprintConstraint, pdk: PdkSpec,
     exact footprint lands in the window; falls back to the most probable
     feasible configuration."""
     probs = mesh.keep_probs()
-    counts = mesh.discrete_block_counts()
-    areas = np.array([block_footprint(pdk, mesh.k, n_dc, n_cr)
-                      for n_dc, n_cr in counts])
+    counts = mesh.footprint_counts()
+    areas = block_footprint(pdk, mesh.k, counts.n_dc, counts.n_cr)
     frozen = mesh.frozen
     u_ids = np.array(mesh.u_block_ids())
     v_ids = np.array(mesh.v_block_ids())

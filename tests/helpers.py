@@ -13,6 +13,7 @@ from ptcsearch import (
     normalize_unitary,
     reparametrize,
 )
+from ptcsearch.pdk import dc_proxy_counts
 from ptcsearch.search import gumbel_sample, sample_gates
 from ptcsearch.tasks import ClassifyTask
 from ptcsearch.topology import TopoBlock, Topology, coupler_offset, n_coupler_slots
@@ -76,7 +77,7 @@ def make_checkable_mesh(k=8, n_u=2, n_v=2, m_rows=None, n_cols=None, seed=0,
                      n_frozen_u=n_frozen, n_frozen_v=n_frozen, rng=rng)
     for b in range(mesh.n_blocks):
         t = mesh.t_latent[b]
-        mesh.t_latent[b] = np.sign(t) * (0.2 + 0.7 * np.abs(t))
+        t[:] = np.sign(t) * (0.2 + 0.7 * np.abs(t))
         mesh.p_raw[b] = mesh.p_raw[b] + rng.uniform(0.0, 0.02, (k, k))
     mesh.theta = rng.normal(0.0, 0.5, mesh.theta.shape)
     return mesh
@@ -113,8 +114,10 @@ class ContinuousCouplers:
     def __getattr__(self, name):
         return getattr(self._mesh, name)
 
-    def coupler_tq(self):
-        return [np.asarray(t, dtype=float) for t in self._mesh.t_latent]
+    def footprint_counts(self):
+        lengths = [t.shape[0] for t in self._mesh.t_latent]
+        return self._mesh.footprint_counts()._replace(
+            dc_proxy=dc_proxy_counts(self._mesh.t_flat, lengths))
 
 
 def surrogate_total_loss(mesh, task, m_weights, alm_state, pdk, penalty,
@@ -145,9 +148,9 @@ def surrogate_gradients(mesh, task, alm_state, pdk, penalty, constraint,
     coeff = pieces["coeff"]
     extra_ptilde = [pieces["alm_grads"][b] + coeff * pieces["prox_grads"].d_ptilde[b]
                     for b in range(mesh.n_blocks)]
-    extra_tq = [coeff * g for g in pieces["prox_grads"].d_tq]
     grads = mesh.backward(pieces["cache"], pieces["g_w"],
-                          extra_ptilde=extra_ptilde, extra_tq=extra_tq)
+                          extra_ptilde=extra_ptilde,
+                          extra_tq=coeff * pieces["prox_grads"].d_tq)
     from ptcsearch.search import gumbel_backward
     g_theta = np.zeros_like(mesh.theta)
     for b in range(mesh.n_blocks):

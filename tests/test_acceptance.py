@@ -197,10 +197,8 @@ def test_acceptance_5_gradient_correctness():
         coords = rng.choice(param.size, size=min(n_coords, param.size),
                             replace=False)
         checks.extend(fd_check(value, param, analytic, coords))
-    for b in range(mesh.n_blocks):
-        coords = range(mesh.t_latent[b].shape[0])
-        checks.extend(fd_check(value, mesh.t_latent[b], grads.t_latent[b],
-                               coords))
+    checks.extend(fd_check(value, mesh.t_flat, grads.t_latent,
+                           range(mesh.t_flat.size)))
 
     rels = np.array([rel for _, _, rel in checks])
     frac_ok = float(np.mean(rels < 1e-4))
@@ -253,8 +251,8 @@ def _train_fixed_structure(n_blocks, seed, k=8, steps=800, lr=2e-2):
         w, cache = mesh.forward(gates, binarize=True)
         _, g_w = task.loss_and_grad(w)
         grads = mesh.backward(cache, g_w)
-        opt.step([mesh.phi, mesh.sigma] + mesh.t_latent,
-                 [grads.phi, grads.sigma] + grads.t_latent)
+        opt.step([mesh.phi, mesh.sigma, mesh.t_flat],
+                 [grads.phi, grads.sigma, grads.t_latent])
     w, _ = mesh.forward(gates, binarize=True)
     return task.evaluate(w)
 

@@ -248,6 +248,76 @@ def test_report_footprint_matches_netlist_area(tmp_path, capsys):
     assert rep["footprint_um2"] == doc["footprint"]["area_um2"]
 
 
+def _drop(*path):
+    """Edit that deletes the field at path from a netlist document."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+    return edit
+
+
+MALFORMED_NETLISTS = {
+    "unitaries.u": _drop("unitaries", "u"),
+    "unitaries.v": _drop("unitaries", "v"),
+    "block.ps": _drop("unitaries", "u", 0, "ps"),
+    "block.dc": _drop("unitaries", "v", 1, "dc"),
+    "block.dc.mask": _drop("unitaries", "u", 1, "dc", "mask"),
+    "block.dc.offset": _drop("unitaries", "v", 0, "dc", "offset"),
+    "block.cr": _drop("unitaries", "u", 0, "cr"),
+    "footprint.n_blocks": _drop("footprint", "n_blocks"),
+    "footprint.n_dc": _drop("footprint", "n_dc"),
+    "footprint.n_cr": _drop("footprint", "n_cr"),
+    "footprint.area_um2": _drop("footprint", "area_um2"),
+    "ps.not_numbers": lambda doc: doc["unitaries"]["u"][0].update(ps=["x"] * 8),
+    "unitaries.not_a_mapping": lambda doc: doc.update(unitaries=[]),
+    "pdk.unknown": lambda doc: doc.update(pdk="no-such-pdk"),
+    "truncated": None,
+}
+
+NETLIST_COMMANDS = {
+    "report": [],
+    "eval": ["--train-steps", "5", "--trials", "2"],
+    "footprint": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NETLIST_COMMANDS))
+@pytest.mark.parametrize("case", sorted(MALFORMED_NETLISTS))
+def test_malformed_netlist_gives_json_error(tmp_path, capsys, case, command):
+    net = _emit_netlist(tmp_path, seed=9)
+    if MALFORMED_NETLISTS[case] is None:
+        net.write_text(net.read_text()[:200])
+    else:
+        doc = read_netlist(net)
+        MALFORMED_NETLISTS[case](doc)
+        net.write_text(json.dumps(doc))
+    code = main([command, "--netlist", str(net), "--seed", "0"]
+                + NETLIST_COMMANDS[command])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("checkpoint", [
+    '{"k": 4}',
+    '{"p_raw": [[[1, 0], [0, 1]]]}',
+    '{"k": 2, "p_raw": [[[1, 0], [0, 1]]',
+    '{"k": 2, "p_raw": [[1, 0], [0, 1]]}',
+    '{"k": 2, "p_raw": [[[1, 0], [0]]]}',
+    '[1, 2]',
+])
+def test_malformed_checkpoint_gives_json_error(tmp_path, capsys, checkpoint):
+    path = tmp_path / "ckpt.json"
+    path.write_text(checkpoint)
+    code = main(["legalize", "--checkpoint", str(path), "--seed", "0"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"] == "ConfigError"
+
+
 def test_legalize_command(tmp_path, capsys):
     rng = np.random.default_rng(8)
     checkpoint = tmp_path / "ckpt.json"

@@ -24,9 +24,15 @@ from ptcsearch import (
     tile_forward,
 )
 from ptcsearch.mesh import WeightPartition, block_transfer, coupler_matrix
+from ptcsearch.pdk import (
+    PenaltyConfig,
+    footprint_expected,
+    footprint_proxy,
+    load_pdk,
+)
 from ptcsearch.search import sample_gates
 from ptcsearch.tasks import random_unitary
-from ptcsearch.topology import coupler_offset, n_coupler_slots
+from ptcsearch.topology import TopoBlock, Topology, coupler_offset, n_coupler_slots
 
 ROOT2_OVER_2 = math.sqrt(2.0) / 2.0
 STE_SCALE = (2.0 - math.sqrt(2.0)) / 4.0
@@ -301,7 +307,7 @@ def _fd_mesh(k=6, n_u=2, n_v=2, m_rows=None, n_cols=None, seed=13):
     mesh = SuperMesh(k, n_u, n_v, m_rows=m_rows, n_cols=n_cols, rng=rng)
     for b in range(mesh.n_blocks):
         t = mesh.t_latent[b]
-        mesh.t_latent[b] = np.sign(t) * (0.2 + 0.7 * np.abs(t))
+        t[:] = np.sign(t) * (0.2 + 0.7 * np.abs(t))
         mesh.p_raw[b] = mesh.p_raw[b] + rng.uniform(0.0, 0.02, (k, k))
     task = MatrixFitTask(0.3 * (rng.normal(size=(mesh.m_rows, mesh.n_cols))
                                 + 1j * rng.normal(size=(mesh.m_rows, mesh.n_cols))))
@@ -326,11 +332,9 @@ def test_mesh_gradients_match_fd(group):
         return _task_value(mesh, task, gates)
 
     if group == "t_latent":
-        for b in range(mesh.n_blocks):
-            coords = range(mesh.t_latent[b].shape[0])
-            for a, n, rel in fd_check(value, mesh.t_latent[b],
-                                      grads.t_latent[b], coords):
-                assert rel < 1e-4, (b, a, n, rel)
+        for a, n, rel in fd_check(value, mesh.t_flat, grads.t_latent,
+                                  range(mesh.t_flat.size)):
+            assert rel < 1e-4, (a, n, rel)
     else:
         param = getattr(mesh, group)
         analytic = getattr(grads, group)
@@ -379,8 +383,7 @@ def test_mesh_gradients_multi_tile_stochastic_gates(group):
         return _task_value(mesh, task, gates)
 
     if group == "t_latent":
-        checks = [(mesh.t_latent[b], grads.t_latent[b], range(mesh.t_latent[b].size))
-                  for b in range(mesh.n_blocks)]
+        checks = [(mesh.t_flat, grads.t_latent, range(mesh.t_flat.size))]
     elif group == "m":
         checks = [(gates, grads.m, range(gates.size))]
     else:
@@ -412,10 +415,9 @@ def test_binarized_backward_applies_ste_scaling():
     gates = certainty_gates(mesh.n_blocks)
     w, cache = mesh.forward(gates, binarize=True)
     _, g_w = task.loss_and_grad(w)
-    grads_bin = mesh.backward(cache, g_w)
-    for b in range(mesh.n_blocks):
-        g = grads_bin.t_latent[b]
-        assert np.all(g >= -1.0) and np.all(g <= 1.0)
+    g = mesh.backward(cache, g_w).t_latent
+    assert g.shape == mesh.t_flat.shape
+    assert np.all(g >= -1.0) and np.all(g <= 1.0)
 
 
 def test_forward_from_topology_matches_build_unitary():
@@ -506,18 +508,15 @@ def test_frozen_permutations_keep_coupler_grads():
     mesh.perms_trainable = False
     frozen = mesh.backward(cache, g_w)
     assert frozen.p_raw is None and full.p_raw is not None
-    for b in range(mesh.n_blocks):
-        assert np.array_equal(frozen.t_latent[b], full.t_latent[b])
+    assert np.array_equal(frozen.t_latent, full.t_latent)
     assert np.array_equal(frozen.phi, full.phi)
 
     def value():
         return _task_value(mesh, task, gates)
 
-    for b in range(mesh.n_blocks):
-        coords = range(mesh.t_latent[b].shape[0])
-        for a, n, rel in fd_check(value, mesh.t_latent[b],
-                                  frozen.t_latent[b], coords):
-            assert rel < 1e-4, (b, a, n, rel)
+    for a, n, rel in fd_check(value, mesh.t_flat, frozen.t_latent,
+                              range(mesh.t_flat.size)):
+        assert rel < 1e-4, (a, n, rel)
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +530,17 @@ def _rebuilt(mesh):
     fresh.offsets = list(mesh.offsets)
     fresh.phi, fresh.sigma = mesh.phi.copy(), mesh.sigma.copy()
     fresh.p_raw = mesh.p_raw.copy()
-    fresh.t_latent = [t.copy() for t in mesh.t_latent]
+    fresh.t_flat = mesh.t_flat.copy()
+    fresh.theta, fresh.frozen = mesh.theta.copy(), mesh.frozen.copy()
     return fresh
+
+
+def _footprint_terms(mesh):
+    """Everything the footprint terms read from a mesh, as plain values."""
+    pdk = load_pdk("amf")
+    value, grads = footprint_proxy(mesh, pdk, PenaltyConfig())
+    return (footprint_expected(mesh, pdk), value, grads.d_keep, grads.d_tq,
+            grads.d_ptilde, mesh.discrete_block_counts())
 
 
 def _edit_in_place(mesh, what):
@@ -555,14 +563,15 @@ STRUCTURE_KEYS = ("p_tildes", "t_mats")
 @pytest.mark.parametrize("what", ["p_raw", "t_latent", "offsets", "epsilon",
                                   "binarize"])
 def test_structure_cache_sees_in_place_edits(what):
-    mesh, _ = _fd_mesh(k=7, m_rows=10, n_cols=12, seed=27)
+    mesh, task = _fd_mesh(k=7, m_rows=10, n_cols=12, seed=27)
     mesh.p_raw[0] = np.eye(7) + 0.05   # row max 0.78: rounds only at eps 0.3
     gates = certainty_gates(mesh.n_blocks)
     before, first = mesh.forward(gates, binarize=True)
     held = {key: first[key].copy() for key in STRUCTURE_KEYS}
     binarize = _edit_in_place(mesh, what)
     after, cache = mesh.forward(gates, binarize=binarize)
-    fresh, fresh_cache = _rebuilt(mesh).forward(gates, binarize=binarize)
+    twin = _rebuilt(mesh)
+    fresh, fresh_cache = twin.forward(gates, binarize=binarize)
     assert not np.array_equal(after, before)
     assert np.array_equal(after, fresh)
     for key in STRUCTURE_KEYS:
@@ -571,6 +580,49 @@ def test_structure_cache_sees_in_place_edits(what):
         assert np.array_equal(first[key], held[key])
     oracle = weight_partition_oracle(mesh, gates, binarize=binarize).assemble()
     np.testing.assert_allclose(after, oracle, rtol=0.0, atol=1e-12)
+    # the backward pass (which reads the cached slot index) and the
+    # footprint counts are built with the same parts, so they follow too
+    g_w = task.loss_and_grad(after)[1]
+    grads, fresh_grads = mesh.backward(cache, g_w), twin.backward(fresh_cache, g_w)
+    for name in ("phi", "sigma", "t_latent", "p_raw", "m"):
+        assert np.array_equal(getattr(grads, name), getattr(fresh_grads, name))
+    for got, want in zip(_footprint_terms(mesh), _footprint_terms(twin)):
+        assert np.array_equal(got, want)
+
+
+def test_from_topology_rebuilds_the_flat_latents_for_its_offsets():
+    # every block at offset 1: at even K that is one slot fewer per block
+    # than the default interleave gives the odd-numbered blocks
+    rng = np.random.default_rng(30)
+    k = 8
+    blocks = [TopoBlock(phases=rng.uniform(-np.pi, np.pi, k),
+                        coupler_mask=rng.uniform(size=3) < 0.5, offset=1,
+                        perm=rng.permutation(k)) for _ in range(4)]
+    topology = Topology(k=k, pdk_name="amf", blocks_u=blocks[:2],
+                        blocks_v=blocks[2:])
+    mesh = SuperMesh.from_topology(topology, rng=rng)
+    assert mesh.t_flat.shape == (12,)
+    for view, blk in zip(mesh.t_latent, blocks):
+        assert np.array_equal(view < 0.0, blk.coupler_mask)
+    assert mesh.discrete_block_counts() == [(b.n_dc, b.n_cr) for b in blocks]
+    gates = certainty_gates(mesh.n_blocks)
+    w, _ = mesh.forward(gates)
+    oracle = weight_partition_oracle(mesh, gates).assemble()
+    np.testing.assert_allclose(w, oracle, rtol=0.0, atol=1e-12)
+
+
+def test_t_latent_is_a_tuple_of_views_into_t_flat():
+    mesh, _ = _fd_mesh(seed=31)
+    with pytest.raises(TypeError):
+        mesh.t_latent[1] = np.ones(mesh.t_latent[1].shape)
+    before = mesh.t_flat.copy()
+    n_dc = mesh.discrete_block_counts()[1][0]
+    mesh.t_latent[1][:] = -mesh.t_latent[1]   # flips every coupler of block 1
+    start, end = mesh.t_latent[0].size, mesh.t_latent[0].size + mesh.t_latent[1].size
+    assert np.array_equal(mesh.t_flat[start:end], -before[start:end])
+    assert np.array_equal(np.delete(mesh.t_flat, np.s_[start:end]),
+                          np.delete(before, np.s_[start:end]))
+    assert mesh.discrete_block_counts()[1][0] == mesh.t_latent[1].size - n_dc
 
 
 def test_fixed_topology_retrain_builds_the_structure_once(monkeypatch):

@@ -26,10 +26,13 @@ from ptcsearch import (
     load_pdk,
 )
 from ptcsearch.pdk import (
+    BlockCounts,
     block_area_extremes,
     block_footprint,
     dc_count_diff,
+    dc_proxy_counts,
     footprint_from_counts,
+    perm_proxy_terms,
 )
 from ptcsearch.mesh import certainty_gates
 from ptcsearch.permutation import perm_array_to_matrix
@@ -65,6 +68,11 @@ def test_load_pdk_from_yaml_file(tmp_path):
 def test_load_pdk_missing_field():
     with pytest.raises(ConfigError, match="f_cr"):
         load_pdk({"name": "x", "f_ps": 1.0, "f_dc": 2.0})
+
+
+def test_load_pdk_unknown_name_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="neither a builtin name"):
+        load_pdk(str(tmp_path / "missing.yaml"))
 
 
 def test_load_pdk_zero_area_names_field():
@@ -185,9 +193,14 @@ def test_footprint_exact_matches_manual_sum():
 # expected footprint and the proxy
 
 class StubMesh:
+    """Mesh stand-in whose footprint counts come from given per-block device
+    counts, binarized transmissions and relaxed permutations, through the
+    same pdk helpers SuperMesh builds its cached counts with. The counts are
+    formed on each call, so in-place edits of a given array are seen."""
+
     perms_trainable = True
 
-    def __init__(self, k, probs, counts, tqs=None, ptildes=None):
+    def __init__(self, k, probs, counts, tqs=(), ptildes=()):
         self.k = k
         self._probs = np.asarray(probs, dtype=float)
         self._counts = counts
@@ -197,14 +210,17 @@ class StubMesh:
     def keep_probs(self):
         return self._probs.copy()
 
-    def discrete_block_counts(self):
-        return list(self._counts)
-
-    def coupler_tq(self):
-        return [np.asarray(t, dtype=float) for t in self._tqs]
-
-    def perm_tildes(self):
-        return [np.asarray(p, dtype=float) for p in self._ptildes]
+    def footprint_counts(self):
+        n_dc, n_cr = np.array(self._counts, dtype=int).reshape(-1, 2).T
+        lengths = [len(t) for t in self._tqs]
+        t_q = np.concatenate([np.zeros(0)] + [np.asarray(t, dtype=float)
+                                             for t in self._tqs])
+        p_diff, p_sqdist = perm_proxy_terms(
+            np.reshape(np.asarray(self._ptildes, dtype=float), (-1, self.k, self.k)))
+        return BlockCounts(n_dc=n_dc, n_cr=n_cr,
+                           dc_proxy=dc_proxy_counts(t_q, lengths),
+                           p_diff=p_diff, p_sqdist=p_sqdist,
+                           slot_block=np.repeat(np.arange(len(lengths)), lengths))
 
 
 def test_expected_footprint_certainty_equals_exact():
@@ -266,24 +282,30 @@ def test_proxy_gradient_wrt_tq_is_linear_slope():
     _, grads = footprint_proxy(mesh, pdk, PenaltyConfig())
     slope = 2.0 / (math.sqrt(2.0) - 2.0)
     expected = 0.5 * pdk.f_dc * slope
-    assert np.allclose(grads.d_tq[0], expected)
+    assert grads.d_tq.shape == (2,)
+    assert np.allclose(grads.d_tq, expected)
 
 
 def test_footprint_terms_reuse_the_forward_pass_permutations():
-    # the step hands forward's (B, K, K) P~ stack to both footprint terms;
-    # results must equal those the mesh computes on its own
+    # both footprint terms read the P~ part the forward pass built: their
+    # proxy terms are those of forward's (B, K, K) P~ stack, and reading
+    # them does not rebuild it
     mesh = make_checkable_mesh(k=8, n_u=3, n_v=3, seed=30)
     mesh.p_raw[2] = perm_array_to_matrix([1, 0, 3, 2, 5, 4, 7, 6]) + 1e-3
     pdk, penalty = load_pdk("amf"), PenaltyConfig()
     _, cache = mesh.forward(certainty_gates(mesh.n_blocks))
     p_tildes = cache["p_tildes"]
-    assert footprint_expected(mesh, pdk, p_tildes) == footprint_expected(mesh, pdk)
-    v_step, g_step = footprint_proxy(mesh, pdk, penalty, p_tildes)
-    v_own, g_own = footprint_proxy(mesh, pdk, penalty)
-    assert v_step == v_own
-    assert np.array_equal(g_step.d_keep, g_own.d_keep)
-    assert np.array_equal(g_step.d_ptilde, g_own.d_ptilde)
-    assert mesh.discrete_block_counts(p_tildes)[2][1] == 4
+    diff, sqdist = perm_proxy_terms(p_tildes)
+    footprint_expected(mesh, pdk)
+    _, grads = footprint_proxy(mesh, pdk, penalty)
+    counts = mesh.footprint_counts()
+    assert np.array_equal(counts.p_diff, diff)
+    assert np.array_equal(counts.p_sqdist, sqdist)
+    probs = mesh.keep_probs()
+    assert np.array_equal(grads.d_ptilde, probs[:, None, None] * penalty.beta_cr
+                          * pdk.f_cr * 2.0 * diff)
+    assert mesh.perm_tildes() is p_tildes
+    assert mesh.discrete_block_counts()[2][1] == 4
 
 
 # ---------------------------------------------------------------------------
@@ -388,5 +410,4 @@ def test_discrete_block_counts_match_per_block_loop():
              count_crossings(mesh.hard_perm_estimate(p_tildes[b])))
             for b in range(mesh.n_blocks)]
     assert mesh.discrete_block_counts() == loop
-    assert mesh.discrete_block_counts(np.stack(p_tildes)) == loop
     assert loop[1][1] == 4

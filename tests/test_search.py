@@ -289,7 +289,7 @@ def test_post_spl_step_skips_the_proxy_permutation_cotangent(monkeypatch, phase)
 
 
 def test_struct_optimizer_must_restart_when_spl_freezes_permutations():
-    # the structure moments pair with [t_latent..., p_raw]; after SPL the group
+    # the structure moments pair with [t_flat, p_raw]; after SPL the group
     # is the couplers only, so reusing the optimizer is refused, and the fresh
     # one run_search starts is accepted
     mesh, state, task = _small_setup()
@@ -325,7 +325,7 @@ def _legal_mesh(k=8, n_u=2, n_v=2, n_frozen=0, seed=0):
                      rng=np.random.default_rng(seed))
     for b in range(mesh.n_blocks):
         mesh.p_raw[b] = perm_array_to_matrix(np.arange(k))
-        mesh.t_latent[b] = np.abs(mesh.t_latent[b]) + 0.1
+        mesh.t_latent[b][:] = np.abs(mesh.t_latent[b]) + 0.1
     mesh.perms_trainable = False
     return mesh
 
@@ -423,3 +423,24 @@ def test_run_search_emits_constraint_satisfying_topology():
     assert 240_000.0 <= footprint_exact(topo, pdk) <= 300_000.0
     assert len(logs) == schedule.total_epochs
     assert {"task", "alm", "footprint", "total", "tau"} <= set(logs[0])
+
+
+def test_search_counts_crossings_once_per_permutation_build(monkeypatch):
+    # the crossing counts are built with P~, so arch steps and the steps
+    # after SPL reuse them: at most one count_crossings call per P~ build
+    from ptcsearch import mesh as mesh_module
+
+    calls = {"reparametrize": 0, "count_crossings": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(mesh_module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(mesh_module, name, counted)
+    config = SearchConfig(k=8, pdk="amf",
+                          constraint=FootprintConstraint(240_000.0, 300_000.0))
+    schedule = SearchSchedule(steps_per_epoch=2)
+    task = MatrixFitTask(random_unitary(8, np.random.default_rng(7)))
+    run_search(config, schedule, task, np.random.default_rng(11))
+    n_steps = schedule.total_epochs * schedule.steps_per_epoch
+    assert calls["count_crossings"] <= calls["reparametrize"]
+    assert calls["count_crossings"] <= 0.5 * n_steps

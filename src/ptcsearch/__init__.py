@@ -15,17 +15,10 @@ from .mesh import (
     MeshGrads,
     SuperMesh,
     WeightPartition,
-    build_unitary,
     certainty_gates,
-    cr_apply,
-    dc_apply,
     expected_keep_prob,
-    normalize_unitary,
-    partition_matmul,
-    ps_apply,
     quantize_coupler,
     quantize_coupler_grad,
-    tile_forward,
 )
 from .pdk import (
     BUILTIN_PDKS,
@@ -34,7 +27,6 @@ from .pdk import (
     PdkSpec,
     PenaltyConfig,
     block_bounds,
-    count_couplers,
     count_crossings,
     footprint_exact,
     footprint_expected,

@@ -279,7 +279,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PtcError as exc:
+    except (PtcError, OSError) as exc:
+        # a missing or unreadable input, or an unwritable output, is an
+        # error record like any other, not a traceback
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 1

@@ -40,16 +40,7 @@ def quantize_coupler_grad(g_tq):
 
 
 # ---------------------------------------------------------------------------
-# single layers acting on complex state vectors
-
-def ps_apply(phi, x):
-    """Phase-shifter column: y_i = exp(-j phi_i) x_i."""
-    phi = np.asarray(phi, dtype=float)
-    x = np.asarray(x, dtype=complex)
-    if phi.shape[0] != x.shape[0]:
-        raise DomainError("phase vector and input dimension mismatch")
-    return np.exp(-1j * phi) * x
-
+# coupler columns over flat (block, waveguide) slot indices
 
 def _slot_index(k: int, offsets):
     """Flat coupler-slot indices of a column stack: for every slot of every
@@ -63,30 +54,18 @@ def _slot_index(k: int, offsets):
     return blk, a, counts
 
 
-def _split_slots(flat, counts):
-    """Per-block views of a flat per-slot array, given the slot counts."""
-    ends = np.cumsum(counts).tolist()
-    return tuple(flat[end - n:end] for n, end in zip(counts, ends))
-
-
-def coupler_matrix(t_values, k: int, offset) -> np.ndarray:
-    """Block-diagonal transfer of a coupler column starting at waveguide offset.
-
-    With a sequence of offsets and a matching sequence of per-block
-    transmission vectors, returns the (B, K, K) stack of all the columns,
-    built by one scatter over the flat slot indices.
-    """
-    stacked = np.ndim(offset) > 0
-    offsets = list(offset) if stacked else [offset]
-    per_block = [np.asarray(t, dtype=float) for t in t_values] if stacked \
-        else [np.asarray(t_values, dtype=float)]
-    blk, a, counts = _slot_index(k, offsets)
-    if len(per_block) != len(offsets) or \
-            [t.shape[0] for t in per_block] != counts.tolist():
-        raise DomainError("transmission vector length does not match K and offset")
-    t = np.concatenate(per_block)
+def coupler_matrix(t_flat, k: int, offsets) -> np.ndarray:
+    """(B, K, K) stack of block-diagonal coupler columns, block b starting at
+    waveguide offsets[b]. t_flat holds the slot transmissions of all blocks,
+    block after block; the stack is built by one scatter over the flat slot
+    indices."""
+    blk, a, _ = _slot_index(k, offsets)
+    t = np.asarray(t_flat, dtype=float)
+    if t.shape != blk.shape:
+        raise DomainError("transmission vector length does not match K and the offsets")
+    n_blocks = len(offsets)
     cross = 1j * np.sqrt(np.maximum(1.0 - t ** 2, 0.0))
-    mat = np.zeros((len(offsets), k * k), dtype=complex)
+    mat = np.zeros((n_blocks, k * k), dtype=complex)
     mat[:, ::k + 1] = 1.0
     flat = mat.reshape(-1)
     aa = (blk * k + a) * k + a          # flat index of entry (b, a, a)
@@ -94,37 +73,11 @@ def coupler_matrix(t_values, k: int, offset) -> np.ndarray:
     flat[aa + k + 1] = t
     flat[aa + 1] = cross
     flat[aa + k] = cross
-    mat = mat.reshape(len(offsets), k, k)
-    return mat if stacked else mat[0]
+    return mat.reshape(n_blocks, k, k)
 
 
-def dc_apply(t, offset, x, binarize=False):
-    """Coupler column acting on a state vector; untouched channels pass through."""
-    x = np.asarray(x, dtype=complex)
-    t_eff = quantize_coupler(t) if binarize else np.asarray(t, dtype=float)
-    return coupler_matrix(t_eff, x.shape[0], offset) @ x
-
-
-def cr_apply(p_tilde, x):
-    """Crossing layer: y = P~ x with the current relaxed or legal matrix."""
-    p_tilde = np.asarray(p_tilde, dtype=float)
-    x = np.asarray(x, dtype=complex)
-    if p_tilde.shape[1] != x.shape[0]:
-        raise DomainError("permutation matrix and input dimension mismatch")
-    return p_tilde @ x
-
-
-def normalize_unitary(u, mode: str):
-    """Scale each row ('row') or column ('column') to unit l2 norm."""
-    u = np.asarray(u, dtype=complex)
-    axis = 1 if mode == "row" else 0
-    if mode not in ("row", "column"):
-        raise DomainError("mode must be 'row' or 'column'")
-    norms = np.sqrt(np.sum(np.abs(u) ** 2, axis=axis, keepdims=True))
-    if np.any(norms < 1e-150):
-        raise DegeneracyError(f"zero {mode} norm in unitary normalization")
-    return u / norms
-
+# ---------------------------------------------------------------------------
+# array helpers
 
 def _read_only(a):
     """Mark an array read-only and return it."""
@@ -145,15 +98,6 @@ def _normalize_backward(u, norms, g_y, axis):
 
 # ---------------------------------------------------------------------------
 # tiles and partitioned weights
-
-def tile_forward(u, sigma, v, x):
-    """One weight tile: y = U diag(sigma) V x."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    sigma = np.asarray(sigma, dtype=float)
-    x = np.asarray(x, dtype=complex)
-    return u @ (sigma * (v @ x))
-
 
 @dataclass
 class WeightPartition:
@@ -181,51 +125,6 @@ class WeightPartition:
                 u, sigma, v = self.tiles[p][q]
                 full[p * k:(p + 1) * k, q * k:(q + 1) * k] = u @ np.diag(sigma) @ v
         return full[: self.m_rows, : self.n_cols]
-
-
-def partition_matmul(wp: WeightPartition, x):
-    """y = W x for a partitioned weight, zero-padding x and truncating y."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape[0] != wp.n_cols:
-        raise DomainError("input length does not match the partition's N")
-    k = wp.k
-    x_pad = np.zeros(wp.q_tiles * k, dtype=complex)
-    x_pad[: wp.n_cols] = x
-    y_pad = np.zeros(wp.p_tiles * k, dtype=complex)
-    for p in range(wp.p_tiles):
-        acc = np.zeros(k, dtype=complex)
-        for q in range(wp.q_tiles):
-            u, sigma, v = wp.tiles[p][q]
-            acc += tile_forward(u, sigma, v, x_pad[q * k:(q + 1) * k])
-        y_pad[p * k:(p + 1) * k] = acc
-    return y_pad[: wp.m_rows]
-
-
-# ---------------------------------------------------------------------------
-# block chains, one block and one tile at a time: the independent oracle the
-# tests hold SuperMesh.forward to
-
-def block_transfer(phi, t_eff, p_tilde, offset):
-    """Transfer matrix of one block: P~ @ T @ R(phi)."""
-    k = len(phi)
-    r = np.exp(-1j * np.asarray(phi, dtype=float))
-    t_mat = coupler_matrix(t_eff, k, offset)
-    return np.asarray(p_tilde) @ (t_mat * r[None, :])
-
-
-def build_unitary(phis, ts, perms, offsets, gates=None, binarize=True):
-    """Compose blocks into a K x K matrix, each blended with identity by its
-    gate weights (m_skip, m_keep). gates=None means every block is certain."""
-    if len(phis) == 0:
-        raise DomainError("block list must be nonempty")
-    k = len(phis[0])
-    u = np.eye(k, dtype=complex)
-    for b in range(len(phis)):
-        t_eff = quantize_coupler(ts[b]) if binarize else np.asarray(ts[b], dtype=float)
-        a = block_transfer(phis[b], t_eff, perms[b], offsets[b])
-        m1, m2 = (0.0, 1.0) if gates is None else gates[b]
-        u = (m1 * np.eye(k, dtype=complex) + m2 * a) @ u
-    return u
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +204,8 @@ class SuperMesh:
         counts = [n_coupler_slots(self.k, o) for o in self.offsets]
         if sum(counts) != self.t_flat.size:
             raise DomainError("t_flat length does not match K and the offsets")
-        return _split_slots(self.t_flat, counts)
+        ends = np.cumsum(counts).tolist()
+        return tuple(self.t_flat[end - n:end] for n, end in zip(counts, ends))
 
     @classmethod
     def from_topology(cls, topology: Topology, m_rows=None, n_cols=None, rng=None):
@@ -409,7 +309,7 @@ class SuperMesh:
             t_raw = self.t_flat.astype(float)
             t_q = quantize_coupler(t_raw)
             c.update(offsets=offsets, t_raw=_read_only(t_raw),
-                     slots=(_read_only(blk), _read_only(a)), slot_counts=counts,
+                     slots=(_read_only(blk), _read_only(a)),
                      t_q=_read_only(t_q),
                      n_dc=_read_only(np.bincount(blk[t_raw < 0.0],
                                                  minlength=len(offsets))),
@@ -424,8 +324,7 @@ class SuperMesh:
         c = self._coupler_structure()
         if c["t_binarize"] != binarize:
             t_eff = c["t_q"] if binarize else c["t_raw"]
-            t_mats = coupler_matrix(_split_slots(t_eff, c["slot_counts"]),
-                                    self.k, c["offsets"])
+            t_mats = coupler_matrix(t_eff, self.k, c["offsets"])
             c.update(t_binarize=binarize, t_eff=t_eff, t_mats=_read_only(t_mats))
         return c
 
@@ -444,11 +343,6 @@ class SuperMesh:
             perm[i] = j
             taken[j] = True
         return perm
-
-    def discrete_block_counts(self):
-        """Per-block (n_dc, n_cr) using binarized couplers and hard perms."""
-        counts = self.footprint_counts()
-        return list(zip(counts.n_dc.tolist(), counts.n_cr.tolist()))
 
     # -- forward / backward -------------------------------------------------
     #

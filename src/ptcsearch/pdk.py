@@ -14,8 +14,6 @@ import yaml
 
 from .errors import ConfigError, DomainError, InfeasibleError
 
-ROOT2_OVER_2 = math.sqrt(2.0) / 2.0
-
 # Per-coupler term of the differentiable DC count: maps t=sqrt(2)/2 -> 1
 # and t=1 -> 0, linear in t so the straight-through gradient passes through.
 _DC_COUNT_SLOPE = 2.0 / (math.sqrt(2.0) - 2.0)
@@ -155,25 +153,10 @@ def count_crossings(perm):
     return int(counts) if p.ndim == 1 else counts
 
 
-def count_couplers(t_binarized, tol: float = 1e-9) -> int:
-    """Count entries equal to sqrt(2)/2 in a binarized transmission vector."""
-    t = np.asarray(t_binarized, dtype=float)
-    is_on = np.abs(t - ROOT2_OVER_2) <= tol
-    is_off = np.abs(t - 1.0) <= tol
-    if not np.all(is_on | is_off):
-        raise DomainError("transmission vector contains non-binarized entries")
-    return int(is_on.sum())
-
-
-def dc_count_diff(t_q: np.ndarray) -> float:
-    """Differentiable coupler count: sum of 2*t/(sqrt(2)-2) + 2/(2-sqrt(2))."""
-    t_q = np.asarray(t_q, dtype=float)
-    return float(np.sum(_DC_COUNT_SLOPE * t_q + _DC_COUNT_OFFSET))
-
-
 def dc_proxy_counts(t_q: np.ndarray, lengths) -> np.ndarray:
-    """Per-block dc_count_diff of a flat transmission array whose blocks
-    hold lengths[b] consecutive slots; a block without slots counts 0."""
+    """Per-block differentiable coupler counts, the sums of
+    2*t/(sqrt(2)-2) + 2/(2-sqrt(2)), of a flat transmission array whose
+    blocks hold lengths[b] consecutive slots; a block without slots counts 0."""
     lengths = np.asarray(lengths, dtype=int)
     dc_counts = np.zeros(lengths.shape[0])
     has_slots = lengths > 0

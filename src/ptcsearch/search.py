@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, InfeasibleError, StateError
-from .mesh import SuperMesh, expected_keep_prob  # noqa: F401 (re-export)
+from .mesh import SuperMesh
 from .optim import Adam, cosine_lr
 from .pdk import (
     FootprintConstraint,

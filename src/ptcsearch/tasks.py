@@ -113,12 +113,6 @@ def random_unitary(k: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))[None, :]
 
 
-def random_matrix_with_singular_values(k: int, singulars, rng) -> np.ndarray:
-    u = random_unitary(k, rng)
-    v = random_unitary(k, rng)
-    return u @ np.diag(np.asarray(singulars, dtype=float)) @ v
-
-
 # ---------------------------------------------------------------------------
 # dataset loading
 

@@ -4,14 +4,10 @@ import numpy as np
 from ptcsearch import (
     MatrixFitTask,
     SuperMesh,
-    WeightPartition,
     alm_loss,
-    build_unitary,
     footprint_expected,
     footprint_penalty,
     footprint_proxy,
-    normalize_unitary,
-    reparametrize,
 )
 from ptcsearch.pdk import dc_proxy_counts
 from ptcsearch.search import gumbel_sample, sample_gates
@@ -81,27 +77,6 @@ def make_checkable_mesh(k=8, n_u=2, n_v=2, m_rows=None, n_cols=None, seed=0,
         mesh.p_raw[b] = mesh.p_raw[b] + rng.uniform(0.0, 0.02, (k, k))
     mesh.theta = rng.normal(0.0, 0.5, mesh.theta.shape)
     return mesh
-
-
-def weight_partition_oracle(mesh, m_weights, binarize=True):
-    """Per-tile (U, sigma, V) of a mesh, composed independently of its
-    engine: each tile's chains block by block through build_unitary, with a
-    per-block reparametrize and the gate weights, then normalized."""
-    perms = [reparametrize(mesh.p_raw[b], mesh.epsilon)[0]
-             for b in range(mesh.n_blocks)]
-
-    def chain(ids, p, q):
-        return build_unitary([mesh.phi[p, q, b] for b in ids],
-                             [mesh.t_latent[b] for b in ids],
-                             [perms[b] for b in ids],
-                             [mesh.offsets[b] for b in ids],
-                             [m_weights[b] for b in ids], binarize=binarize)
-
-    tiles = [[(normalize_unitary(chain(mesh.u_block_ids(), p, q), "row"),
-               mesh.sigma[p, q],
-               normalize_unitary(chain(mesh.v_block_ids(), p, q), "column"))
-              for q in range(mesh.q_tiles)] for p in range(mesh.p_tiles)]
-    return WeightPartition(mesh.m_rows, mesh.n_cols, mesh.k, tiles)
 
 
 class ContinuousCouplers:

@@ -18,6 +18,7 @@ from helpers import (
     surrogate_gradients,
     surrogate_value,
 )
+from oracle import build_unitary
 from ptcsearch import (
     AlmState,
     FootprintConstraint,
@@ -28,7 +29,6 @@ from ptcsearch import (
     SplConfig,
     SuperMesh,
     alm_loss,
-    build_unitary,
     count_crossings,
     dual_update,
     footprint_exact,

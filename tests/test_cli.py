@@ -318,6 +318,39 @@ def test_malformed_checkpoint_gives_json_error(tmp_path, capsys, checkpoint):
     assert json.loads(captured.err.strip())["error"] == "ConfigError"
 
 
+def _missing_file_args(tmp_path):
+    """Per command, arguments naming one file that does not exist (or an
+    output under a directory that does not exist); every other file is
+    valid."""
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump({"k": 8, "pdk": "amf", "f_min": 240_000.0,
+                                      "f_max": 300_000.0,
+                                      "schedule": {"steps_per_epoch": 1}}))
+    net = str(_emit_netlist(tmp_path))
+    missing = str(tmp_path / "missing.json")
+    return {
+        "report": ["report", "--netlist", missing],
+        "eval": ["eval", "--netlist", missing],
+        "footprint": ["footprint", "--netlist", missing],
+        "legalize": ["legalize", "--checkpoint", missing],
+        "search-config": ["search", "--config", missing, "--out", net],
+        "eval-task": ["eval", "--netlist", net, "--task", missing],
+        "search-out": ["search", "--config", str(config),
+                       "--out", str(tmp_path / "no-such-dir" / "net.json")],
+    }
+
+
+@pytest.mark.parametrize("case", ["report", "eval", "footprint", "legalize",
+                                  "search-config", "eval-task", "search-out"])
+def test_missing_file_gives_json_error(tmp_path, capsys, case):
+    code = main(_missing_file_args(tmp_path)[case] + ["--seed", "0"])
+    assert code == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.err.strip())
+    assert err["error"] == "FileNotFoundError"
+    assert "No such file or directory" in err["message"]
+
+
 def test_legalize_command(tmp_path, capsys):
     rng = np.random.default_rng(8)
     checkpoint = tmp_path / "ckpt.json"
@@ -342,14 +375,17 @@ def _failing_replace(src, dst):
 def test_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch, capsys, writer):
     monkeypatch.setattr(os, "replace", _failing_replace)
     out = tmp_path / "out.json"
-    with pytest.raises(OSError, match="rename refused"):
-        if writer == "cli":
-            checkpoint = tmp_path / "ckpt.json"
-            checkpoint.write_text(json.dumps({"k": 2, "p_raw": [[[1.0, 0.0],
-                                                                 [0.0, 1.0]]]}))
-            main(["legalize", "--checkpoint", str(checkpoint), "--seed", "1",
-                  "--out", str(out)])
-        else:
+    if writer == "cli":
+        # the CLI reports the failed write as a JSON error record
+        checkpoint = tmp_path / "ckpt.json"
+        checkpoint.write_text(json.dumps({"k": 2, "p_raw": [[[1.0, 0.0],
+                                                             [0.0, 1.0]]]}))
+        assert main(["legalize", "--checkpoint", str(checkpoint), "--seed", "1",
+                     "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "OSError", "message": "rename refused"}
+    else:
+        with pytest.raises(OSError, match="rename refused"):
             write_netlist(out, _netlist_doc())
     capsys.readouterr()
     assert not out.exists()

@@ -6,24 +6,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fd_check, weight_partition_oracle
-from ptcsearch import (
-    DegeneracyError,
-    DomainError,
-    MatrixFitTask,
-    SuperMesh,
+from helpers import fd_check
+from oracle import (
+    block_transfer,
     build_unitary,
-    certainty_gates,
+    coupler_column,
     cr_apply,
     dc_apply,
     normalize_unitary,
     partition_matmul,
     ps_apply,
+    tile_forward,
+    weight_partition_oracle,
+)
+from ptcsearch import (
+    DegeneracyError,
+    DomainError,
+    MatrixFitTask,
+    SuperMesh,
+    certainty_gates,
     quantize_coupler,
     quantize_coupler_grad,
-    tile_forward,
 )
-from ptcsearch.mesh import WeightPartition, block_transfer, coupler_matrix
+from ptcsearch.mesh import WeightPartition, coupler_matrix
 from ptcsearch.pdk import (
     PenaltyConfig,
     footprint_expected,
@@ -441,29 +446,29 @@ def test_block_transfer_equals_explicit_product():
     perm = np.zeros((k, k))
     perm[np.arange(k), rng.permutation(k)] = 1.0
     a = block_transfer(phi, t, perm, 0)
-    explicit = perm @ coupler_matrix(t, k, 0) @ np.diag(np.exp(-1j * phi))
+    explicit = perm @ coupler_matrix(t, k, [0])[0] @ np.diag(np.exp(-1j * phi))
     assert np.allclose(a, explicit, atol=1e-12)
 
 
 def test_stacked_coupler_matrix_matches_per_block_calls():
+    # the engine's flat scatter against the oracle's slot-by-slot columns
     rng = np.random.default_rng(23)
     k = 7
     offsets = [0, 1, 0, 1, 1]
     ts = [rng.uniform(0.5, 1.0, n_coupler_slots(k, off)) for off in offsets]
-    stack = coupler_matrix(ts, k, offsets)
+    stack = coupler_matrix(np.concatenate(ts), k, offsets)
     assert stack.shape == (len(offsets), k, k)
     for b, (t, off) in enumerate(zip(ts, offsets)):
-        assert np.array_equal(stack[b], coupler_matrix(t, k, off))
+        assert np.array_equal(stack[b], coupler_column(t, k, off))
 
 
 def test_stacked_coupler_matrix_rejects_any_length_mismatch():
     k = 8
-    ts = [np.ones(4), np.ones(3), np.ones(4)]
-    coupler_matrix(ts, k, [0, 1, 0])
-    with pytest.raises(DomainError):
-        coupler_matrix([np.ones(4), np.ones(4), np.ones(4)], k, [0, 1, 0])
-    with pytest.raises(DomainError):
-        coupler_matrix(ts[:2], k, [0, 1, 0])
+    offsets = [0, 1, 0]                     # 4 + 3 + 4 slots
+    coupler_matrix(np.ones(11), k, offsets)
+    for length in (12, 10, 7):              # too long, too short, a block missing
+        with pytest.raises(DomainError):
+            coupler_matrix(np.ones(length), k, offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +544,9 @@ def _footprint_terms(mesh):
     """Everything the footprint terms read from a mesh, as plain values."""
     pdk = load_pdk("amf")
     value, grads = footprint_proxy(mesh, pdk, PenaltyConfig())
+    counts = mesh.footprint_counts()
     return (footprint_expected(mesh, pdk), value, grads.d_keep, grads.d_tq,
-            grads.d_ptilde, mesh.discrete_block_counts())
+            grads.d_ptilde, counts.n_dc, counts.n_cr)
 
 
 def _edit_in_place(mesh, what):
@@ -604,7 +610,9 @@ def test_from_topology_rebuilds_the_flat_latents_for_its_offsets():
     assert mesh.t_flat.shape == (12,)
     for view, blk in zip(mesh.t_latent, blocks):
         assert np.array_equal(view < 0.0, blk.coupler_mask)
-    assert mesh.discrete_block_counts() == [(b.n_dc, b.n_cr) for b in blocks]
+    counts = mesh.footprint_counts()
+    assert counts.n_dc.tolist() == [b.n_dc for b in blocks]
+    assert counts.n_cr.tolist() == [b.n_cr for b in blocks]
     gates = certainty_gates(mesh.n_blocks)
     w, _ = mesh.forward(gates)
     oracle = weight_partition_oracle(mesh, gates).assemble()
@@ -616,13 +624,13 @@ def test_t_latent_is_a_tuple_of_views_into_t_flat():
     with pytest.raises(TypeError):
         mesh.t_latent[1] = np.ones(mesh.t_latent[1].shape)
     before = mesh.t_flat.copy()
-    n_dc = mesh.discrete_block_counts()[1][0]
+    n_dc = mesh.footprint_counts().n_dc[1]
     mesh.t_latent[1][:] = -mesh.t_latent[1]   # flips every coupler of block 1
     start, end = mesh.t_latent[0].size, mesh.t_latent[0].size + mesh.t_latent[1].size
     assert np.array_equal(mesh.t_flat[start:end], -before[start:end])
     assert np.array_equal(np.delete(mesh.t_flat, np.s_[start:end]),
                           np.delete(before, np.s_[start:end]))
-    assert mesh.discrete_block_counts()[1][0] == mesh.t_latent[1].size - n_dc
+    assert mesh.footprint_counts().n_dc[1] == mesh.t_latent[1].size - n_dc
 
 
 def test_fixed_topology_retrain_builds_the_structure_once(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import bubble_sort_swaps, fd_check, make_checkable_mesh, random_topology
+from oracle import count_couplers
 from ptcsearch import (
     BlockBounds,
     ConfigError,
@@ -17,7 +18,6 @@ from ptcsearch import (
     PdkSpec,
     PenaltyConfig,
     block_bounds,
-    count_couplers,
     count_crossings,
     footprint_exact,
     footprint_expected,
@@ -29,7 +29,6 @@ from ptcsearch.pdk import (
     BlockCounts,
     block_area_extremes,
     block_footprint,
-    dc_count_diff,
     dc_proxy_counts,
     footprint_from_counts,
     perm_proxy_terms,
@@ -144,13 +143,13 @@ def test_couplers_all_on_matches_per_term_form():
     t = [ROOT2_OVER_2] * 4
     assert count_couplers(t) == 4
     # the differentiable per-term form evaluates each entry to exactly 1
-    assert dc_count_diff(np.asarray(t)) == pytest.approx(4.0, abs=1e-12)
+    assert dc_proxy_counts(np.asarray(t), [len(t)])[0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_couplers_mixed():
     t = [ROOT2_OVER_2, 1.0, ROOT2_OVER_2]
     assert count_couplers(t) == 2
-    assert dc_count_diff(np.asarray(t)) == pytest.approx(2.0, abs=1e-12)
+    assert dc_proxy_counts(np.asarray(t), [len(t)])[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_couplers_rejects_non_binarized():
@@ -305,7 +304,7 @@ def test_footprint_terms_reuse_the_forward_pass_permutations():
     assert np.array_equal(grads.d_ptilde, probs[:, None, None] * penalty.beta_cr
                           * pdk.f_cr * 2.0 * diff)
     assert mesh.perm_tildes() is p_tildes
-    assert mesh.discrete_block_counts()[2][1] == 4
+    assert mesh.footprint_counts().n_cr[2] == 4
 
 
 # ---------------------------------------------------------------------------
@@ -409,5 +408,6 @@ def test_discrete_block_counts_match_per_block_loop():
     loop = [(int(np.sum(mesh.t_latent[b] < 0.0)),
              count_crossings(mesh.hard_perm_estimate(p_tildes[b])))
             for b in range(mesh.n_blocks)]
-    assert mesh.discrete_block_counts() == loop
+    counts = mesh.footprint_counts()
+    assert list(zip(counts.n_dc.tolist(), counts.n_cr.tolist())) == loop
     assert loop[1][1] == 4

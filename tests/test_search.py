@@ -15,6 +15,7 @@ from ptcsearch import (
     SplConfig,
     StateError,
     SuperMesh,
+    expected_keep_prob,
     footprint_exact,
     load_pdk,
     run_search,
@@ -27,7 +28,6 @@ from ptcsearch.search import (
     SearchConfig,
     SearchSchedule,
     SearchState,
-    expected_keep_prob,
     gumbel_backward,
     gumbel_sample,
     iter_phases,

@@ -60,6 +60,8 @@ def baseline_footprint(name: str, size: int, pdk_name: str):
 
 
 def _build_task(task_doc: dict, k: int, rng):
+    if not isinstance(task_doc, dict):
+        raise ConfigError("task must be a mapping")
     kind = task_doc.get("kind", "matrix_fit")
     if kind == "matrix_fit":
         target_kind = task_doc.get("target", "random_unitary")
@@ -67,6 +69,8 @@ def _build_task(task_doc: dict, k: int, rng):
             return MatrixFitTask(random_unitary(k, rng))
         raise PtcError(f"unknown matrix-fit target '{target_kind}'")
     if kind == "classify":
+        if "path" not in task_doc:
+            raise ConfigError("classify task is missing 'path'")
         return load_dataset(task_doc["path"], fmt=task_doc.get("format", "csv"),
                             split=float(task_doc.get("split", 0.8)),
                             seed=int(task_doc.get("split_seed", 0)),
@@ -85,15 +89,34 @@ def _load_run_config(path):
     return doc
 
 
+def _number(doc, key, kind, default=None):
+    """Run-config field `key` (or default) converted by kind (int or float)."""
+    try:
+        return kind(doc.get(key, default))
+    except (TypeError, ValueError):
+        raise ConfigError(f"run config '{key}' is not a number") from None
+
+
+def _schedule(doc):
+    schedule = doc.get("schedule", {})
+    if not isinstance(schedule, dict):
+        raise ConfigError("run config 'schedule' must be a mapping")
+    try:
+        return SearchSchedule(**schedule)
+    except TypeError as exc:   # an unknown key, or a value of the wrong type
+        raise ConfigError(f"run config 'schedule': {exc}") from None
+
+
 def cmd_search(args):
     doc = _load_run_config(args.config)
     rng = np.random.default_rng(args.seed)
-    k = int(doc["k"])
-    constraint = FootprintConstraint(float(doc["f_min"]), float(doc["f_max"]),
-                                     margin=float(doc.get("margin", 0.05)))
-    penalty = PenaltyConfig(beta=float(doc.get("beta", 10.0)),
-                            beta_cr=float(doc.get("beta_cr", 100.0)))
-    schedule = SearchSchedule(**doc.get("schedule", {}))
+    k = _number(doc, "k", int)
+    constraint = FootprintConstraint(_number(doc, "f_min", float),
+                                     _number(doc, "f_max", float),
+                                     margin=_number(doc, "margin", float, 0.05))
+    penalty = PenaltyConfig(beta=_number(doc, "beta", float, 10.0),
+                            beta_cr=_number(doc, "beta_cr", float, 100.0))
+    schedule = _schedule(doc)
     config = SearchConfig(k=k, pdk=doc["pdk"], constraint=constraint,
                           penalty=penalty,
                           rho0=doc.get("rho0"))
@@ -226,6 +249,14 @@ def cmd_report(args):
     return 0
 
 
+def nonnegative_int(text):
+    """argparse type of --seed: numpy's generators take no negative seed."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ptcsearch",
@@ -234,7 +265,7 @@ def build_parser():
 
     p = sub.add_parser("search", help="run a topology search")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=nonnegative_int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.add_argument("--log")
@@ -242,7 +273,7 @@ def build_parser():
 
     p = sub.add_parser("eval", help="variation-aware retraining + noise sweep")
     p.add_argument("--netlist", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=nonnegative_int, required=True)
     p.add_argument("--task")
     p.add_argument("--sigma-grid", default="0,0.01,0.02,0.04,0.08")
     p.add_argument("--trials", type=int, default=20)
@@ -257,19 +288,19 @@ def build_parser():
     group.add_argument("--baseline", choices=["mzi", "fft"])
     p.add_argument("--size", type=int, default=8)
     p.add_argument("--pdk", default="amf")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=nonnegative_int, required=True)
     p.set_defaults(func=cmd_footprint)
 
     p = sub.add_parser("legalize", help="run SPL on a relaxed mesh checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=nonnegative_int, required=True)
     p.add_argument("--max-attempts", type=int, default=200)
     p.add_argument("--out")
     p.set_defaults(func=cmd_legalize)
 
     p = sub.add_parser("report", help="summarize a netlist")
     p.add_argument("--netlist", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=nonnegative_int, required=True)
     p.set_defaults(func=cmd_report)
     return parser
 

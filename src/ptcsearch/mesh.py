@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, DomainError
-from .pdk import BlockCounts, count_crossings, dc_proxy_counts, perm_proxy_terms
+from .pdk import BlockCounts, count_crossings, perm_proxy_terms
 from .permutation import (
+    hard_permutations,
     init_smoothed_identity,
     perm_array_to_matrix,
     reparametrize,
@@ -44,14 +45,13 @@ def quantize_coupler_grad(g_tq):
 
 def _slot_index(k: int, offsets):
     """Flat coupler-slot indices of a column stack: for every slot of every
-    block, its block b and its first waveguide a (the pair is a, a + 1).
-    Also returns the per-block slot counts."""
+    block, its block b and its first waveguide a (the pair is a, a + 1)."""
     offsets = np.asarray(offsets, dtype=int)
     counts = (k - offsets) // 2
     blk = np.repeat(np.arange(offsets.shape[0]), counts)
     first = np.cumsum(counts) - counts
     a = offsets[blk] + 2 * (np.arange(blk.shape[0]) - first[blk])
-    return blk, a, counts
+    return blk, a
 
 
 def coupler_matrix(t_flat, k: int, offsets) -> np.ndarray:
@@ -59,7 +59,7 @@ def coupler_matrix(t_flat, k: int, offsets) -> np.ndarray:
     waveguide offsets[b]. t_flat holds the slot transmissions of all blocks,
     block after block; the stack is built by one scatter over the flat slot
     indices."""
-    blk, a, _ = _slot_index(k, offsets)
+    blk, a = _slot_index(k, offsets)
     t = np.asarray(t_flat, dtype=float)
     if t.shape != blk.shape:
         raise DomainError("transmission vector length does not match K and the offsets")
@@ -155,7 +155,7 @@ class SuperMesh:
     """
 
     def __init__(self, k, n_u, n_v, m_rows=None, n_cols=None,
-                 n_frozen_u=0, n_frozen_v=0, rng=None, epsilon=0.05):
+                 n_frozen_u=0, n_frozen_v=0, rng=None):
         if rng is None:
             rng = np.random.default_rng(0)
         self.k = k
@@ -166,7 +166,6 @@ class SuperMesh:
         self.n_cols = n_cols if n_cols is not None else k
         self.p_tiles = (self.m_rows + k - 1) // k
         self.q_tiles = (self.n_cols + k - 1) // k
-        self.epsilon = epsilon
 
         b = self.n_blocks
         self.offsets = [coupler_offset(self.local_index(i)) for i in range(b)]
@@ -247,11 +246,10 @@ class SuperMesh:
     def footprint_counts(self) -> BlockCounts:
         """Per-block device counts for the footprint terms (cached,
         read-only): discrete counts from the binarized couplers and the hard
-        permutation estimates, and the proxy terms."""
+        permutation estimates, and the crossing proxy terms."""
         c = self._perm_structure()
         self._coupler_structure()
-        return BlockCounts(n_dc=c["n_dc"], n_cr=c["n_cr"],
-                           dc_proxy=c["dc_proxy"], p_diff=c["p_diff"],
+        return BlockCounts(n_dc=c["n_dc"], n_cr=c["n_cr"], p_diff=c["p_diff"],
                            p_sqdist=c["p_sqdist"], slot_block=c["slots"][0])
 
     # -- block structure cache ----------------------------------------------
@@ -260,39 +258,31 @@ class SuperMesh:
     # runs of steps: arch steps, the forward after a dual update, P~ after
     # SPL, and both over a whole fixed-topology retrain. Each part is rebuilt
     # only when its inputs differ by value from a copy taken at its last
-    # build, so in-place edits of p_raw, t_flat, offsets or epsilon are seen.
+    # build, so in-place edits of p_raw, t_flat or offsets are seen.
     # Everything the footprint terms count is built with its part, so a step
     # that reuses a part recounts nothing. The cached arrays are read-only
     # and are replaced, not written, on a rebuild, so a forward cache holding
     # them stays valid.
 
     def _perm_structure(self):
-        """The P~ part, keyed on p_raw and epsilon: P~, the reparametrize
-        cache, the crossing counts of the hard permutation estimates, and the
-        proxy terms P~ - I and ||P~ - I||_F^2. Returns the cache dict."""
+        """The P~ part, keyed on p_raw: P~, the reparametrize cache, the
+        crossing counts of the hard permutation estimates, and the proxy
+        terms P~ - I and ||P~ - I||_F^2. Returns the cache dict."""
         c = self._structure
-        if not (c.get("epsilon") == self.epsilon
-                and np.array_equal(c.get("p_raw"), self.p_raw)):
-            p_tildes, p_cache = reparametrize(self.p_raw, self.epsilon)
-            # blocks whose row argmax is already a permutation skip the
-            # greedy estimate; all crossings are counted by one call
-            hard = np.argmax(p_tildes, axis=-1)
-            legal = np.all(np.sort(hard, axis=-1) == np.arange(self.k), axis=-1)
-            for b in np.flatnonzero(~legal):
-                hard[b] = self.hard_perm_estimate(p_tildes[b])
+        if not np.array_equal(c.get("p_raw"), self.p_raw):
+            p_tildes, p_cache = reparametrize(self.p_raw)
             p_diff, p_sqdist = perm_proxy_terms(p_tildes)
-            c.update(p_raw=self.p_raw.copy(), epsilon=self.epsilon,
-                     p_tildes=_read_only(p_tildes),
+            c.update(p_raw=self.p_raw.copy(), p_tildes=_read_only(p_tildes),
                      p_cache={n: _read_only(a) for n, a in p_cache.items()},
-                     n_cr=_read_only(count_crossings(hard)),
+                     n_cr=_read_only(count_crossings(hard_permutations(p_tildes))),
                      p_diff=_read_only(p_diff), p_sqdist=_read_only(p_sqdist))
         return c
 
     def _coupler_structure(self):
-        """The counting half of the T part, keyed on the t_flat values and
-        the offsets: the flat slot index, the binarized transmissions, the
-        discrete coupler counts and the linear-in-t proxy counts. Returns
-        the cache dict.
+        """The T part, keyed on the t_flat values and the offsets: the
+        (B, K, K) coupler columns T of the binarized transmissions, the flat
+        slot index, the binarized transmissions and the discrete coupler
+        counts. Returns the cache dict.
 
         The key is the latents themselves, not their binarized values, so
         during a search T is rebuilt after every coupler update rather than
@@ -303,46 +293,16 @@ class SuperMesh:
         offsets = list(self.offsets)
         if not (c.get("offsets") == offsets
                 and np.array_equal(c.get("t_raw"), self.t_flat)):
-            blk, a, counts = _slot_index(self.k, offsets)
-            if counts.sum() != self.t_flat.size:
-                raise DomainError("t_flat length does not match K and the offsets")
             t_raw = self.t_flat.astype(float)
             t_q = quantize_coupler(t_raw)
+            t_mats = coupler_matrix(t_q, self.k, offsets)
+            blk, a = _slot_index(self.k, offsets)
             c.update(offsets=offsets, t_raw=_read_only(t_raw),
+                     t_q=_read_only(t_q), t_mats=_read_only(t_mats),
                      slots=(_read_only(blk), _read_only(a)),
-                     t_q=_read_only(t_q),
                      n_dc=_read_only(np.bincount(blk[t_raw < 0.0],
-                                                 minlength=len(offsets))),
-                     dc_proxy=_read_only(dc_proxy_counts(t_q, counts)),
-                     t_binarize=None)
+                                                 minlength=len(offsets))))
         return c
-
-    def _coupler_columns(self, binarize):
-        """The (B, K, K) coupler columns T of the effective transmissions,
-        built with the counting half and additionally keyed on binarize.
-        Returns the cache dict."""
-        c = self._coupler_structure()
-        if c["t_binarize"] != binarize:
-            t_eff = c["t_q"] if binarize else c["t_raw"]
-            t_mats = coupler_matrix(t_eff, self.k, c["offsets"])
-            c.update(t_binarize=binarize, t_eff=t_eff, t_mats=_read_only(t_mats))
-        return c
-
-    def hard_perm_estimate(self, pt: np.ndarray) -> np.ndarray:
-        """Deterministic legal-permutation estimate of a block's relaxed
-        permutation pt."""
-        hard = np.argmax(pt, axis=1)
-        if len(set(hard.tolist())) == self.k:
-            return hard
-        # greedy assignment: most confident rows claim their column first
-        order = np.argsort(-pt.max(axis=1))
-        taken = np.zeros(self.k, dtype=bool)
-        perm = np.zeros(self.k, dtype=int)
-        for i in order:
-            j = int(np.argmax(np.where(taken, -np.inf, pt[i])))
-            perm[i] = j
-            taken[j] = True
-        return perm
 
     # -- forward / backward -------------------------------------------------
     #
@@ -369,8 +329,11 @@ class SuperMesh:
         phi_eff = self.phi if phi_noise is None else self.phi + phi_noise
         r = np.exp(-1j * phi_eff)                          # (P, Q, B, K)
         c = self._perm_structure()
-        self._coupler_columns(binarize)
-        p_tildes, t_mats = c["p_tildes"], c["t_mats"]
+        self._coupler_structure()
+        p_tildes, t_eff, t_mats = c["p_tildes"], c["t_q"], c["t_mats"]
+        if not binarize:   # raw-latent columns, formed here and not cached
+            t_eff = c["t_raw"]
+            t_mats = _read_only(coupler_matrix(t_eff, k, c["offsets"]))
         pt_t = p_tildes @ t_mats                           # (B, K, K)
         amats = pt_t * r[..., None, :]                     # (P, Q, B, K, K)
         # gated factors m1 I + m2 A: scale A, then add m1 on the diagonals
@@ -391,7 +354,7 @@ class SuperMesh:
         w_pad = w_tiles.transpose(0, 2, 1, 3).reshape(self.p_tiles * k,
                                                       self.q_tiles * k)
         cache = {"p_tildes": p_tildes, "p_cache": c["p_cache"],
-                 "t_eff": c["t_eff"], "t_mats": t_mats, "slots": c["slots"],
+                 "t_eff": t_eff, "t_mats": t_mats, "slots": c["slots"],
                  "pt_t": pt_t, "r": r, "mats": mats,
                  "amats": amats, "chains": chains,
                  "u_norms": u_norms, "v_norms": v_norms, "u_n": u_n, "v_n": v_n,

@@ -14,10 +14,9 @@ import yaml
 
 from .errors import ConfigError, DomainError, InfeasibleError
 
-# Per-coupler term of the differentiable DC count: maps t=sqrt(2)/2 -> 1
-# and t=1 -> 0, linear in t so the straight-through gradient passes through.
+# Straight-through gradient of a block's coupler count in each binarized
+# transmission: the slope of the line through (sqrt(2)/2, 1) and (1, 0).
 _DC_COUNT_SLOPE = 2.0 / (math.sqrt(2.0) - 2.0)
-_DC_COUNT_OFFSET = 2.0 / (2.0 - math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -153,22 +152,6 @@ def count_crossings(perm):
     return int(counts) if p.ndim == 1 else counts
 
 
-def dc_proxy_counts(t_q: np.ndarray, lengths) -> np.ndarray:
-    """Per-block differentiable coupler counts, the sums of
-    2*t/(sqrt(2)-2) + 2/(2-sqrt(2)), of a flat transmission array whose
-    blocks hold lengths[b] consecutive slots; a block without slots counts 0."""
-    lengths = np.asarray(lengths, dtype=int)
-    dc_counts = np.zeros(lengths.shape[0])
-    has_slots = lengths > 0
-    if has_slots.any():
-        # reduceat sums each block's segment; blocks without slots are skipped
-        # because reduceat would return the next element for an empty segment
-        starts = np.cumsum(lengths) - lengths
-        per_slot = _DC_COUNT_SLOPE * np.asarray(t_q, dtype=float) + _DC_COUNT_OFFSET
-        dc_counts[has_slots] = np.add.reduceat(per_slot, starts[has_slots])
-    return dc_counts
-
-
 def perm_proxy_terms(p_tildes: np.ndarray):
     """(P~ - I, ||P~ - I||_F^2 per block) of a (B, K, K) relaxed-permutation
     stack: the crossing proxy and the array its gradient scales."""
@@ -203,7 +186,6 @@ class BlockCounts(NamedTuple):
 
     n_dc: np.ndarray        # (B,) couplers placed by the binarized latents
     n_cr: np.ndarray        # (B,) crossings of the hard permutation estimates
-    dc_proxy: np.ndarray    # (B,) linear-in-t coupler counts (dc_proxy_counts)
     p_diff: np.ndarray      # (B, K, K) P~ - I (perm_proxy_terms)
     p_sqdist: np.ndarray    # (B,) ||P~ - I||_F^2 (perm_proxy_terms)
     slot_block: np.ndarray  # (S,) block of each coupler slot
@@ -233,14 +215,16 @@ class ProxyGrads:
 def footprint_proxy(mesh, pdk: PdkSpec, penalty: PenaltyConfig):
     """Differentiable footprint expectation.
 
-    Replaces the crossing count with beta_cr * ||P~ - I||_F^2 and the coupler
-    count with its linear-in-t form, both read from mesh.footprint_counts().
-    Returns (value, ProxyGrads); d_ptilde is None when mesh.perms_trainable
-    is false, since nothing then reads a permutation cotangent.
+    Replaces the crossing count with beta_cr * ||P~ - I||_F^2 and keeps the
+    discrete coupler count, whose straight-through gradient in the binarized
+    transmissions is _DC_COUNT_SLOPE; both are read from
+    mesh.footprint_counts(). Returns (value, ProxyGrads); d_ptilde is None
+    when mesh.perms_trainable is false, since nothing then reads a
+    permutation cotangent.
     """
     probs = mesh.keep_probs()
     counts = mesh.footprint_counts()
-    d_keep = block_footprint(pdk, mesh.k, counts.dc_proxy,
+    d_keep = block_footprint(pdk, mesh.k, counts.n_dc,
                              penalty.beta_cr * counts.p_sqdist)
     value = float(probs @ d_keep)
     d_tq = probs[counts.slot_block] * pdk.f_dc * _DC_COUNT_SLOPE

@@ -175,6 +175,23 @@ def perm_array_to_matrix(perm) -> np.ndarray:
     return m
 
 
+def hard_permutations(p_tildes: np.ndarray) -> np.ndarray:
+    """Deterministic legal-permutation estimates (B, K) of a (B, K, K) stack
+    of relaxed permutations: each block's row argmax where that is already a
+    permutation, else a greedy assignment in which the most confident rows
+    claim their column first."""
+    k = p_tildes.shape[-1]
+    hard = np.argmax(p_tildes, axis=-1)
+    legal = np.all(np.sort(hard, axis=-1) == np.arange(k), axis=-1)
+    for b in np.flatnonzero(~legal):
+        pt = p_tildes[b]
+        taken = np.zeros(k, dtype=bool)
+        for i in np.argsort(-pt.max(axis=1)):
+            hard[b, i] = np.argmax(np.where(taken, -np.inf, pt[i]))
+            taken[hard[b, i]] = True
+    return hard
+
+
 @dataclass
 class SplConfig:
     """Knobs for stochastic permutation legalization."""

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DivergenceError, InfeasibleError, StateError
+from .errors import ConfigError, DivergenceError, InfeasibleError, StateError
 from .mesh import SuperMesh
 from .optim import Adam, cosine_lr
 from .pdk import (
@@ -37,6 +37,9 @@ from .permutation import (
     spl_legalize,
 )
 from .topology import TopoBlock, Topology
+
+# gate draws sample_submesh makes before its deterministic fallbacks
+SUBMESH_TRIES = 200
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +109,12 @@ class SearchSchedule:
 
     def __post_init__(self):
         if not self.warmup_epochs < self.spl_epoch < self.total_epochs:
-            raise ValueError("schedule requires warmup < spl_epoch < total")
+            raise ConfigError("schedule requires warmup < spl_epoch < total")
+        if self.steps_per_epoch < 1 or self.weight_arch_ratio < 0:
+            raise ConfigError("schedule requires steps_per_epoch >= 1 and "
+                              "weight_arch_ratio >= 0")
+        if not (self.tau_start > 0 and self.tau_end > 0):
+            raise ConfigError("schedule requires positive tau_start and tau_end")
 
     def tau_at(self, epoch: int) -> float:
         """Exponential decay with exact endpoints."""
@@ -124,10 +132,7 @@ class SearchConfig:
     pdk: object                    # PdkSpec, builtin name, or path
     constraint: FootprintConstraint
     penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
-    spl: SplConfig = field(default_factory=SplConfig)
     rho0: Optional[float] = None
-    epsilon: float = 0.05
-    submesh_tries: int = 200
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +232,10 @@ def search_step(mesh: SuperMesh, task, phase: str, state: SearchState, rng,
 # ---------------------------------------------------------------------------
 # legalization and SubMesh extraction
 
-def legalize_mesh(mesh: SuperMesh, spl: SplConfig, rng):
+def legalize_mesh(mesh: SuperMesh, rng):
     """Force every crossing layer to a legal permutation and freeze it."""
     p_tildes = mesh.perm_tildes()
+    spl = SplConfig()
     for b in range(mesh.n_blocks):
         mesh.p_raw[b] = spl_legalize(p_tildes[b], spl, rng)
     mesh.perms_trainable = False
@@ -258,7 +264,7 @@ def mesh_to_topology(mesh: SuperMesh, keep, pdk_name: str) -> Topology:
 
 
 def sample_submesh(mesh: SuperMesh, c: FootprintConstraint, pdk: PdkSpec,
-                   rng, max_tries: int = 200) -> Topology:
+                   rng) -> Topology:
     """Draw block-keep decisions from the learned gate distribution until the
     exact footprint lands in the window; falls back to the most probable
     feasible configuration."""
@@ -273,7 +279,7 @@ def sample_submesh(mesh: SuperMesh, c: FootprintConstraint, pdk: PdkSpec,
         return keep[u_ids].any() and keep[v_ids].any() and \
             c.contains(float(areas[keep].sum()))
 
-    for _ in range(max_tries):
+    for _ in range(SUBMESH_TRIES):
         keep = frozen | (rng.uniform(size=mesh.n_blocks) < probs)
         if valid(keep):
             return mesh_to_topology(mesh, keep, pdk.name)
@@ -341,14 +347,13 @@ def run_search(config: SearchConfig, schedule: SearchSchedule, task, rng):
     n_frozen = min(bounds.per_unitary_min, n_per)
     mesh = SuperMesh(config.k, n_per, n_per,
                      m_rows=task.m_rows, n_cols=task.n_cols,
-                     n_frozen_u=n_frozen, n_frozen_v=n_frozen,
-                     rng=rng, epsilon=config.epsilon)
+                     n_frozen_u=n_frozen, n_frozen_v=n_frozen, rng=rng)
     state = SearchState(mesh, config, schedule, pdk)
     phase_stream = iter_phases(schedule)
     logs = []
     for epoch in range(schedule.total_epochs):
         if epoch == schedule.spl_epoch:
-            legalize_mesh(mesh, config.spl, rng)
+            legalize_mesh(mesh, rng)
             # the structure group shrinks to the couplers: restart its moments
             state.opt_struct = Adam(lr=schedule.lr)
         state.tau = schedule.tau_at(epoch)
@@ -360,6 +365,5 @@ def run_search(config: SearchConfig, schedule: SearchSchedule, task, rng):
         record = {"epoch": epoch, "phase": phase, "tau": state.tau}
         record.update(epoch_losses)
         logs.append(record)
-    topology = sample_submesh(mesh, config.constraint, pdk, rng,
-                              max_tries=config.submesh_tries)
+    topology = sample_submesh(mesh, config.constraint, pdk, rng)
     return mesh, topology, logs

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, DomainError
+from .errors import ConfigError, DivergenceError, DomainError, StateError
 from .mesh import SuperMesh, WeightPartition, certainty_gates
 from .optim import Adam
 from .topology import Topology
@@ -301,20 +301,18 @@ def variation_aware_train(topology: Topology, task, noise: NoiseModel,
     return mesh, {"clean": clean, "noisy": noisy_mean, "noisy_std": noisy_std}
 
 
-def robustness_sweep(model, task, sigmas, trials, rng):
-    """Evaluate a trained mesh (or topology with phase snapshot) under noise.
+def robustness_sweep(mesh, task, sigmas, trials, rng):
+    """Evaluate a trained mesh under phase noise.
 
-    Returns a list of (sigma, mean_metric, std_metric) rows.
+    A Topology raises StateError: it carries no trained sigma, so retrain it
+    first (variation_aware_train returns the mesh to sweep). Returns a list
+    of (sigma, mean_metric, std_metric) rows.
     """
+    if isinstance(mesh, Topology):
+        raise StateError("a topology has no trained weights to sweep")
     if trials < 2:
         raise DomainError("robustness sweep needs at least 2 trials")
     sigmas = [check_phase_sigma(sigma) for sigma in sigmas]
-    if isinstance(model, Topology):
-        mesh = SuperMesh.from_topology(model, m_rows=task.m_rows,
-                                       n_cols=task.n_cols,
-                                       rng=np.random.default_rng(0))
-    else:
-        mesh = model
     rows = []
     for sigma in sigmas:
         if sigma == 0:

@@ -1,4 +1,6 @@
 """Shared builders and oracles for the test suite."""
+import math
+
 import numpy as np
 
 from ptcsearch import (
@@ -9,7 +11,7 @@ from ptcsearch import (
     footprint_penalty,
     footprint_proxy,
 )
-from ptcsearch.pdk import dc_proxy_counts
+from ptcsearch.pdk import _DC_COUNT_SLOPE
 from ptcsearch.search import gumbel_sample, sample_gates
 from ptcsearch.tasks import ClassifyTask
 from ptcsearch.topology import TopoBlock, Topology, coupler_offset, n_coupler_slots
@@ -79,9 +81,18 @@ def make_checkable_mesh(k=8, n_u=2, n_v=2, m_rows=None, n_cols=None, seed=0,
     return mesh
 
 
+def linear_dc_counts(t, slot_block, n_blocks):
+    """Per-block sums of the line through (sqrt(2)/2, 1) and (1, 0), whose
+    slope is the proxy's straight-through coupler-count gradient, over a flat
+    transmission array whose slot s belongs to block slot_block[s]."""
+    per_slot = _DC_COUNT_SLOPE * np.asarray(t, dtype=float) + 2.0 / (2.0 - math.sqrt(2.0))
+    return np.bincount(slot_block, weights=per_slot, minlength=n_blocks)
+
+
 class ContinuousCouplers:
-    """View of a mesh whose footprint proxy consumes the raw coupler latents,
-    making the surrogate loss smooth in t for finite-difference checks."""
+    """View of a mesh whose footprint proxy counts couplers by the linear
+    form of the raw latents, making the surrogate loss smooth in t for
+    finite-difference checks."""
 
     def __init__(self, mesh):
         self._mesh = mesh
@@ -90,9 +101,9 @@ class ContinuousCouplers:
         return getattr(self._mesh, name)
 
     def footprint_counts(self):
-        lengths = [t.shape[0] for t in self._mesh.t_latent]
-        return self._mesh.footprint_counts()._replace(
-            dc_proxy=dc_proxy_counts(self._mesh.t_flat, lengths))
+        counts = self._mesh.footprint_counts()
+        return counts._replace(n_dc=linear_dc_counts(
+            self._mesh.t_flat, counts.slot_block, self._mesh.n_blocks))
 
 
 def surrogate_total_loss(mesh, task, m_weights, alm_state, pdk, penalty,

@@ -145,7 +145,7 @@ def weight_partition_oracle(mesh, m_weights, binarize=True):
     """Per-tile (U, sigma, V) of a mesh, composed independently of its
     engine: each tile's chains block by block through build_unitary, with a
     per-block reparametrize and the gate weights, then normalized."""
-    perms = [reparametrize(mesh.p_raw[b], mesh.epsilon)[0]
+    perms = [reparametrize(mesh.p_raw[b])[0]
              for b in range(mesh.n_blocks)]
 
     def chain(ids, p, q):

@@ -8,6 +8,8 @@ import yaml
 
 from helpers import random_topology
 from ptcsearch import ConfigError, footprint_exact, load_pdk
+from ptcsearch import cli as cli_module
+from ptcsearch import search as search_module
 from ptcsearch.cli import baseline_footprint, main
 from ptcsearch.netlist import (
     doc_to_topology,
@@ -173,6 +175,45 @@ def test_search_config_missing_key(tmp_path, capsys):
     assert "f_max" in err["message"]
 
 
+def _no_training(*args, **kwargs):
+    raise AssertionError("a malformed config reached training")
+
+
+TINY_SCHEDULE = {"warmup_epochs": 1, "spl_epoch": 2, "total_epochs": 4,
+                 "steps_per_epoch": 1}
+
+MALFORMED_RUN_CONFIGS = {
+    "k.not_a_number": {"k": "eight"},
+    "schedule.not_a_mapping": {"schedule": 5},
+    "schedule.order": {"schedule": {"warmup_epochs": 60}},
+    "schedule.unknown_key": {"schedule": {"warmup": 1}},
+    "schedule.steps_per_epoch": {"schedule": dict(TINY_SCHEDULE, steps_per_epoch=0)},
+    "schedule.weight_arch_ratio": {"schedule": dict(TINY_SCHEDULE, weight_arch_ratio=-1)},
+    "schedule.tau_start": {"schedule": dict(TINY_SCHEDULE, tau_start=0)},
+    "schedule.tau_end": {"schedule": dict(TINY_SCHEDULE, tau_end=0)},
+    "task.not_a_mapping": {"task": 5},
+    "task.classify_without_path": {"task": {"kind": "classify"}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RUN_CONFIGS))
+def test_malformed_run_config_gives_json_error(tmp_path, capsys, monkeypatch, case):
+    doc = {"k": 8, "pdk": "amf", "f_min": 240_000.0, "f_max": 300_000.0,
+           "schedule": TINY_SCHEDULE}
+    doc.update(MALFORMED_RUN_CONFIGS[case])
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    monkeypatch.setattr(search_module, "search_step", _no_training)
+    out = tmp_path / "net.json"
+    code = main(["search", "--config", str(config), "--seed", "0",
+                 "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"] == "ConfigError"
+    assert not out.exists()
+
+
 def _emit_netlist(tmp_path, seed=5):
     path = tmp_path / "net.json"
     write_netlist(path, _netlist_doc(seed))
@@ -193,6 +234,22 @@ def test_eval_command_single_sigma_csv(tmp_path, capsys):
     topo = doc_to_topology(read_netlist(net))
     n_cr, n_dc, n_blk = topo.device_counts()
     assert lines[1].endswith(f",{n_cr},{n_dc},{n_blk}")
+
+
+def test_eval_classify_task_without_path_gives_json_error(tmp_path, capsys,
+                                                         monkeypatch):
+    net = _emit_netlist(tmp_path)
+    task = tmp_path / "task.yaml"
+    task.write_text(yaml.safe_dump({"kind": "classify"}))
+    monkeypatch.setattr(cli_module, "variation_aware_train", _no_training)
+    out = tmp_path / "sweep.csv"
+    code = main(["eval", "--netlist", str(net), "--seed", "3",
+                 "--task", str(task), "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"] == "ConfigError"
+    assert not out.exists()
 
 
 def test_eval_command_rejects_tampered_netlist(tmp_path, capsys):
@@ -396,6 +453,27 @@ def test_seed_flag_is_required(capsys):
     with pytest.raises(SystemExit):
         main(["footprint", "--baseline", "mzi", "--size", "8", "--pdk", "amf"])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["search", "eval", "legalize"])
+def test_negative_seed_is_an_argument_error(tmp_path, capsys, command):
+    # numpy's generators take no negative seed: argparse rejects it, as it
+    # does a seed that is not an integer, before any input is read
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump({"k": 8, "pdk": "amf", "f_min": 240_000.0,
+                                      "f_max": 300_000.0,
+                                      "schedule": TINY_SCHEDULE}))
+    checkpoint = tmp_path / "ckpt.json"
+    checkpoint.write_text(json.dumps({"k": 2, "p_raw": [[[1.0, 0.0],
+                                                         [0.0, 1.0]]]}))
+    args = {"search": ["--config", str(config), "--out", str(tmp_path / "o.json")],
+            "eval": ["--netlist", str(_emit_netlist(tmp_path)),
+                     "--train-steps", "1", "--trials", "2"],
+            "legalize": ["--checkpoint", str(checkpoint)]}
+    with pytest.raises(SystemExit) as exc:
+        main([command] + args[command] + ["--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed: must be nonnegative" in capsys.readouterr().err
 
 
 def test_canonical_dump_stable():

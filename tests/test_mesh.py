@@ -531,7 +531,7 @@ def test_frozen_permutations_keep_coupler_grads():
 def _rebuilt(mesh):
     """A new mesh holding copies of the parameters and no cached state."""
     fresh = SuperMesh(mesh.k, mesh.n_u, mesh.n_v, m_rows=mesh.m_rows,
-                      n_cols=mesh.n_cols, epsilon=mesh.epsilon)
+                      n_cols=mesh.n_cols)
     fresh.offsets = list(mesh.offsets)
     fresh.phi, fresh.sigma = mesh.phi.copy(), mesh.sigma.copy()
     fresh.p_raw = mesh.p_raw.copy()
@@ -558,19 +558,16 @@ def _edit_in_place(mesh, what):
         mesh.t_latent[2][0] = -mesh.t_latent[2][0]   # crosses zero: flips
     elif what == "offsets":
         mesh.offsets[1] = 1 - mesh.offsets[1]          # odd K: same slot count
-    elif what == "epsilon":
-        mesh.epsilon = 0.3                             # block 0's rows round
     return what != "binarize"
 
 
 STRUCTURE_KEYS = ("p_tildes", "t_mats")
 
 
-@pytest.mark.parametrize("what", ["p_raw", "t_latent", "offsets", "epsilon",
-                                  "binarize"])
+@pytest.mark.parametrize("what", ["p_raw", "t_latent", "offsets", "binarize"])
 def test_structure_cache_sees_in_place_edits(what):
     mesh, task = _fd_mesh(k=7, m_rows=10, n_cols=12, seed=27)
-    mesh.p_raw[0] = np.eye(7) + 0.05   # row max 0.78: rounds only at eps 0.3
+    mesh.p_raw[0] = np.eye(7) + 0.05   # row max 0.78: not rounded
     gates = certainty_gates(mesh.n_blocks)
     before, first = mesh.forward(gates, binarize=True)
     held = {key: first[key].copy() for key in STRUCTURE_KEYS}

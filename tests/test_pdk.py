@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bubble_sort_swaps, fd_check, make_checkable_mesh, random_topology
+from helpers import (
+    bubble_sort_swaps,
+    fd_check,
+    linear_dc_counts,
+    make_checkable_mesh,
+    random_topology,
+)
 from oracle import count_couplers
 from ptcsearch import (
     BlockBounds,
@@ -17,6 +23,7 @@ from ptcsearch import (
     InfeasibleError,
     PdkSpec,
     PenaltyConfig,
+    SuperMesh,
     block_bounds,
     count_crossings,
     footprint_exact,
@@ -29,12 +36,11 @@ from ptcsearch.pdk import (
     BlockCounts,
     block_area_extremes,
     block_footprint,
-    dc_proxy_counts,
     footprint_from_counts,
     perm_proxy_terms,
 )
-from ptcsearch.mesh import certainty_gates
-from ptcsearch.permutation import perm_array_to_matrix
+from ptcsearch.mesh import certainty_gates, quantize_coupler
+from ptcsearch.permutation import hard_permutations, perm_array_to_matrix
 
 ROOT2_OVER_2 = math.sqrt(2.0) / 2.0
 
@@ -142,14 +148,26 @@ def test_couplers_none():
 def test_couplers_all_on_matches_per_term_form():
     t = [ROOT2_OVER_2] * 4
     assert count_couplers(t) == 4
-    # the differentiable per-term form evaluates each entry to exactly 1
-    assert dc_proxy_counts(np.asarray(t), [len(t)])[0] == pytest.approx(4.0, abs=1e-12)
+    # the linear per-term form evaluates each entry to exactly 1
+    assert linear_dc_counts(t, np.zeros(4, dtype=int), 1)[0] == 4.0
 
 
 def test_couplers_mixed():
     t = [ROOT2_OVER_2, 1.0, ROOT2_OVER_2]
     assert count_couplers(t) == 2
-    assert dc_proxy_counts(np.asarray(t), [len(t)])[0] == pytest.approx(2.0, abs=1e-12)
+    assert linear_dc_counts(t, np.zeros(3, dtype=int), 1)[0] == 2.0
+
+
+@pytest.mark.parametrize("k", [4, 7, 8])
+def test_linear_coupler_count_is_the_discrete_count(k):
+    # at binarized transmissions the linear form is exact in float64, so the
+    # footprint proxy can read the discrete coupler count directly
+    mesh = SuperMesh(k, 3, 3, rng=np.random.default_rng(k))
+    counts = mesh.footprint_counts()
+    linear = linear_dc_counts(quantize_coupler(mesh.t_flat), counts.slot_block,
+                              mesh.n_blocks)
+    assert linear.tolist() == counts.n_dc.tolist()
+    assert counts.n_dc.sum() > 0
 
 
 def test_couplers_rejects_non_binarized():
@@ -194,8 +212,9 @@ def test_footprint_exact_matches_manual_sum():
 class StubMesh:
     """Mesh stand-in whose footprint counts come from given per-block device
     counts, binarized transmissions and relaxed permutations, through the
-    same pdk helpers SuperMesh builds its cached counts with. The counts are
-    formed on each call, so in-place edits of a given array are seen."""
+    same pdk helper SuperMesh builds its crossing proxy terms with. The
+    counts are formed on each call, so in-place edits of a given array are
+    seen."""
 
     perms_trainable = True
 
@@ -212,13 +231,9 @@ class StubMesh:
     def footprint_counts(self):
         n_dc, n_cr = np.array(self._counts, dtype=int).reshape(-1, 2).T
         lengths = [len(t) for t in self._tqs]
-        t_q = np.concatenate([np.zeros(0)] + [np.asarray(t, dtype=float)
-                                             for t in self._tqs])
         p_diff, p_sqdist = perm_proxy_terms(
             np.reshape(np.asarray(self._ptildes, dtype=float), (-1, self.k, self.k)))
-        return BlockCounts(n_dc=n_dc, n_cr=n_cr,
-                           dc_proxy=dc_proxy_counts(t_q, lengths),
-                           p_diff=p_diff, p_sqdist=p_sqdist,
+        return BlockCounts(n_dc=n_dc, n_cr=n_cr, p_diff=p_diff, p_sqdist=p_sqdist,
                            slot_block=np.repeat(np.arange(len(lengths)), lengths))
 
 
@@ -406,8 +421,10 @@ def test_discrete_block_counts_match_per_block_loop():
     p_tildes = mesh.perm_tildes()
     assert len(set(np.argmax(p_tildes[4], axis=1).tolist())) < 8
     loop = [(int(np.sum(mesh.t_latent[b] < 0.0)),
-             count_crossings(mesh.hard_perm_estimate(p_tildes[b])))
+             count_crossings(hard_permutations(p_tildes[b:b + 1])[0]))
             for b in range(mesh.n_blocks)]
     counts = mesh.footprint_counts()
     assert list(zip(counts.n_dc.tolist(), counts.n_cr.tolist())) == loop
     assert loop[1][1] == 4
+    # rows 0 and 1 tie on column 0: row 0 claims it, row 1 takes column 1
+    assert hard_permutations(p_tildes[4:5])[0].tolist() == list(range(8))

@@ -8,11 +8,11 @@ import pytest
 
 from helpers import rel_err
 from ptcsearch import (
+    ConfigError,
     FootprintConstraint,
     InfeasibleError,
     MatrixFitTask,
     PenaltyConfig,
-    SplConfig,
     StateError,
     SuperMesh,
     expected_keep_prob,
@@ -137,7 +137,7 @@ def test_tau_decay_exact_endpoints_and_monotone():
 
 
 def test_schedule_validates_ordering():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         SearchSchedule(warmup_epochs=50, spl_epoch=10)
 
 
@@ -231,8 +231,7 @@ def test_unknown_phase_rejected():
 def test_post_spl_step_skips_the_alm_term(monkeypatch):
     # legal frozen permutations have a zero l1-l2 gap: L_P is 0, not evaluated
     mesh, state, task = _small_setup()
-    legalize_mesh(mesh, __import__("ptcsearch").SplConfig(),
-                  np.random.default_rng(4))
+    legalize_mesh(mesh, np.random.default_rng(4))
 
     def unexpected(*args, **kwargs):
         raise AssertionError("alm_loss ran with frozen permutations")
@@ -260,7 +259,7 @@ def test_post_spl_step_skips_the_proxy_permutation_cotangent(monkeypatch, phase)
     # nothing reads d_ptilde once SPL froze the permutations: the proxy
     # returns None, and the step logs and updates exactly as when it was formed
     mesh, state, task = _small_setup()
-    legalize_mesh(mesh, SplConfig(), np.random.default_rng(4))
+    legalize_mesh(mesh, np.random.default_rng(4))
     twin, twin_state = copy.deepcopy(mesh), copy.deepcopy(state)
     proxy = search_module.footprint_proxy
     seen = []
@@ -294,7 +293,7 @@ def test_struct_optimizer_must_restart_when_spl_freezes_permutations():
     # one run_search starts is accepted
     mesh, state, task = _small_setup()
     search_step(mesh, task, "weights", state, np.random.default_rng(5))
-    legalize_mesh(mesh, SplConfig(), np.random.default_rng(4))
+    legalize_mesh(mesh, np.random.default_rng(4))
     with pytest.raises(StateError):
         search_step(mesh, task, "weights", state, np.random.default_rng(6))
     state.opt_struct = Adam(lr=state.schedule.lr)
@@ -383,8 +382,7 @@ def test_sample_submesh_infeasible_window():
 
 def test_legalize_mesh_freezes_permutations():
     mesh = SuperMesh(6, 2, 2, rng=np.random.default_rng(4))
-    legalize_mesh(mesh, __import__("ptcsearch").SplConfig(),
-                  np.random.default_rng(5))
+    legalize_mesh(mesh, np.random.default_rng(5))
     assert not mesh.perms_trainable
     from ptcsearch import is_permutation
     for b in range(mesh.n_blocks):

@@ -8,6 +8,7 @@ from ptcsearch import (
     DomainError,
     MatrixFitTask,
     NoiseModel,
+    StateError,
     SuperMesh,
     inject_phase_noise,
     load_dataset,
@@ -198,7 +199,8 @@ def test_sweep_zero_sigma_row_equals_clean():
 def test_sweep_row_count_matches_grid():
     topo = random_topology(8, 2, 2, np.random.default_rng(14))
     task = MatrixFitTask(random_unitary(8, np.random.default_rng(7)))
-    rows = robustness_sweep(topo, task, [0.0, 0.01, 0.02, 0.04, 0.08],
+    mesh = SuperMesh.from_topology(topo, rng=np.random.default_rng(0))
+    rows = robustness_sweep(mesh, task, [0.0, 0.01, 0.02, 0.04, 0.08],
                             trials=20, rng=np.random.default_rng(2))
     assert len(rows) == 5
 
@@ -221,8 +223,19 @@ def test_noisy_metric_and_sweep_reject_bad_sigma(bad):
 def test_sweep_needs_two_trials():
     topo = random_topology(8, 2, 2, np.random.default_rng(15))
     task = MatrixFitTask(random_unitary(8, np.random.default_rng(7)))
+    mesh = SuperMesh.from_topology(topo, rng=np.random.default_rng(0))
     with pytest.raises(DomainError):
-        robustness_sweep(topo, task, [0.0], trials=1,
+        robustness_sweep(mesh, task, [0.0], trials=1,
+                         rng=np.random.default_rng(0))
+
+
+def test_sweep_of_a_topology_raises_state_error():
+    # a topology carries no trained sigma: sweeping it used to run on a
+    # random one
+    topo = random_topology(8, 2, 2, np.random.default_rng(15))
+    task = MatrixFitTask(random_unitary(8, np.random.default_rng(7)))
+    with pytest.raises(StateError):
+        robustness_sweep(topo, task, [0.0, 0.02], trials=2,
                          rng=np.random.default_rng(0))
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: search, eval, footprint, legalize, report."""
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -101,9 +102,15 @@ def _schedule(doc):
     schedule = doc.get("schedule", {})
     if not isinstance(schedule, dict):
         raise ConfigError("run config 'schedule' must be a mapping")
+    # YAML reads 1e-3 as a string: convert the float fields as _number does;
+    # the integer fields are checked, not rounded, by SearchSchedule
+    float_fields = {f.name for f in dataclasses.fields(SearchSchedule)
+                    if f.type is float}
+    schedule = {key: _number(schedule, key, float) if key in float_fields
+                else value for key, value in schedule.items()}
     try:
         return SearchSchedule(**schedule)
-    except TypeError as exc:   # an unknown key, or a value of the wrong type
+    except TypeError as exc:   # an unknown key
         raise ConfigError(f"run config 'schedule': {exc}") from None
 
 
@@ -119,7 +126,8 @@ def cmd_search(args):
     schedule = _schedule(doc)
     config = SearchConfig(k=k, pdk=doc["pdk"], constraint=constraint,
                           penalty=penalty,
-                          rho0=doc.get("rho0"))
+                          rho0=None if doc.get("rho0") is None
+                          else _number(doc, "rho0", float))
     task = _build_task(doc.get("task", {}), k, np.random.default_rng(args.seed + 1))
     mesh, topology, logs = run_search(config, schedule, task, rng)
     pdk = load_pdk(doc["pdk"])

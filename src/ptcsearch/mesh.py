@@ -6,6 +6,7 @@ unitaries into SVD-style weight tiles. Each layer has a hand-written
 vector-Jacobian product; the engine walks the structure instead of using a
 generic autodiff graph.
 """
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,15 +44,18 @@ def quantize_coupler_grad(g_tq):
 # ---------------------------------------------------------------------------
 # coupler columns over flat (block, waveguide) slot indices
 
-def _slot_index(k: int, offsets):
+@functools.lru_cache(maxsize=64)
+def _slot_index(k: int, offsets: tuple):
     """Flat coupler-slot indices of a column stack: for every slot of every
-    block, its block b and its first waveguide a (the pair is a, a + 1)."""
+    block, its block b and its first waveguide a (the pair is a, a + 1).
+    Memoized on (k, offsets), so a T build and its coupler_matrix call share
+    one index; the arrays are read-only."""
     offsets = np.asarray(offsets, dtype=int)
     counts = (k - offsets) // 2
     blk = np.repeat(np.arange(offsets.shape[0]), counts)
     first = np.cumsum(counts) - counts
     a = offsets[blk] + 2 * (np.arange(blk.shape[0]) - first[blk])
-    return blk, a
+    return _read_only(blk), _read_only(a)
 
 
 def coupler_matrix(t_flat, k: int, offsets) -> np.ndarray:
@@ -59,7 +63,7 @@ def coupler_matrix(t_flat, k: int, offsets) -> np.ndarray:
     waveguide offsets[b]. t_flat holds the slot transmissions of all blocks,
     block after block; the stack is built by one scatter over the flat slot
     indices."""
-    blk, a = _slot_index(k, offsets)
+    blk, a = _slot_index(k, tuple(offsets))
     t = np.asarray(t_flat, dtype=float)
     if t.shape != blk.shape:
         raise DomainError("transmission vector length does not match K and the offsets")
@@ -296,22 +300,36 @@ class SuperMesh:
             t_raw = self.t_flat.astype(float)
             t_q = quantize_coupler(t_raw)
             t_mats = coupler_matrix(t_q, self.k, offsets)
-            blk, a = _slot_index(self.k, offsets)
+            blk, a = _slot_index(self.k, tuple(offsets))
             c.update(offsets=offsets, t_raw=_read_only(t_raw),
                      t_q=_read_only(t_q), t_mats=_read_only(t_mats),
-                     slots=(_read_only(blk), _read_only(a)),
+                     slots=(blk, a),
                      n_dc=_read_only(np.bincount(blk[t_raw < 0.0],
                                                  minlength=len(offsets))))
         return c
 
+    def _binarized_product(self, c):
+        """The (B, K, K) product P~T of the cached parts (read-only). It is
+        rebuilt when the P~ or T array it was formed from is replaced; those
+        are never written, so an identity check is enough."""
+        p_tildes, t_mats = c["p_tildes"], c["t_mats"]
+        formed_from = c.get("pt_t_of", (None, None))
+        if formed_from[0] is not p_tildes or formed_from[1] is not t_mats:
+            c.update(pt_t=_read_only(p_tildes @ t_mats),
+                     pt_t_of=(p_tildes, t_mats))
+        return c["pt_t"]
+
     # -- forward / backward -------------------------------------------------
     #
     # All P x Q tiles and all B blocks run at once. The block structure cache
-    # gives the relaxed permutations P~ and the (B, K, K) coupler columns T,
-    # and every block transfer is formed as one stack
-    # A[p, q, b] = (P~_b T_b) * r[p, q, b][None, :] with r = exp(-j phi). The
-    # Python loops run over the blocks of each U/V chain and hold only the
-    # chain matmuls; every per-block cotangent is reduced after the loop by
+    # gives P~T, and every block transfer is formed as one stack
+    # A[p, q, b] = (P~_b T_b) * r[p, q, b][None, :] with r = exp(-j phi).
+    # The U and V chains run as one loop over L = max(n_u, n_v) positions of
+    # (P, Q, 2, K, K) factors, U at index 0 and V at index 1; the shorter
+    # chain is front-padded with identities (I @ I is exact, so no product
+    # changes). That loop and the backward's cotangent recurrence make one
+    # matmul per position for both chains; every block's cotangent is then
+    # formed by one batched matmul, and every per-block reduction after it by
     # one batched expression. Frozen groups (perms_trainable or
     # couplers_trainable false, every gate frozen) get no cotangent at all.
 
@@ -322,7 +340,8 @@ class SuperMesh:
         phi_noise: optional array broadcastable to phi, added to the phases.
         Returns (W, cache); cache["p_tildes"] holds the (B, K, K) relaxed
         permutations for the step's ALM term. The structure entries
-        (p_tildes, p_cache, t_eff, t_mats, slots) are read-only.
+        (p_tildes, p_cache, t_eff, t_mats, slots, and pt_t when binarized)
+        are read-only.
         """
         k = self.k
         m_weights = np.asarray(m_weights)
@@ -331,19 +350,36 @@ class SuperMesh:
         c = self._perm_structure()
         self._coupler_structure()
         p_tildes, t_eff, t_mats = c["p_tildes"], c["t_q"], c["t_mats"]
-        if not binarize:   # raw-latent columns, formed here and not cached
+        if binarize:
+            pt_t = self._binarized_product(c)              # (B, K, K)
+        else:   # raw-latent columns and their product, formed here, not cached
             t_eff = c["t_raw"]
             t_mats = _read_only(coupler_matrix(t_eff, k, c["offsets"]))
-        pt_t = p_tildes @ t_mats                           # (B, K, K)
+            pt_t = p_tildes @ t_mats
         amats = pt_t * r[..., None, :]                     # (P, Q, B, K, K)
-        # gated factors m1 I + m2 A: scale A, then add m1 on the diagonals
-        mats = m_weights[:, 1, None, None] * amats
-        mats.reshape(mats.shape[:-2] + (k * k,))[..., ::k + 1] += \
-            m_weights[:, 0, None]
+        mats = amats   # every gate exactly (0, 1): the factors are A itself
+        if np.any(m_weights[:, 0] != 0.0) or np.any(m_weights[:, 1] != 1.0):
+            # gated factors m1 I + m2 A: scale A, then add m1 on the diagonals
+            mats = m_weights[:, 1, None, None] * amats
+            mats.reshape(mats.shape[:-2] + (k * k,))[..., ::k + 1] += \
+                m_weights[:, 0, None]
 
-        chains = {"u": self._chain_forward(self.u_block_ids(), mats),
-                  "v": self._chain_forward(self.v_block_ids(), mats)}
-        u_raw, v_raw = chains["u"][-1], chains["v"][-1]
+        n_u, n_v = self.n_u, self.n_v
+        length = max(n_u, n_v)
+        shape = mats.shape[:2] + (2, length, k, k)
+        if n_u == n_v:
+            factors = mats.reshape(shape)
+        else:   # front-pad the shorter chain with identity factors
+            factors = np.empty(shape, dtype=complex)
+            factors[...] = np.eye(k)
+            factors[:, :, 0, length - n_u:] = mats[:, :, :n_u]
+            factors[:, :, 1, length - n_v:] = mats[:, :, n_u:]
+        # partials[i]: product of the first i factors of each chain
+        partials = np.empty((length + 1,) + shape[:3] + (k, k), dtype=complex)
+        partials[0] = np.eye(k)
+        for i in range(length):
+            np.matmul(factors[:, :, :, i], partials[i], out=partials[i + 1])
+        u_raw, v_raw = partials[-1, :, :, 0], partials[-1, :, :, 1]
         u_norms = np.sqrt(np.sum(np.abs(u_raw) ** 2, axis=-1, keepdims=True))
         v_norms = np.sqrt(np.sum(np.abs(v_raw) ** 2, axis=-2, keepdims=True))
         if np.any(u_norms < 1e-150) or np.any(v_norms < 1e-150):
@@ -355,22 +391,11 @@ class SuperMesh:
                                                       self.q_tiles * k)
         cache = {"p_tildes": p_tildes, "p_cache": c["p_cache"],
                  "t_eff": t_eff, "t_mats": t_mats, "slots": c["slots"],
-                 "pt_t": pt_t, "r": r, "mats": mats,
-                 "amats": amats, "chains": chains,
+                 "pt_t": pt_t, "r": r, "mats": mats, "amats": amats,
+                 "factors": factors, "partials": partials,
                  "u_norms": u_norms, "v_norms": v_norms, "u_n": u_n, "v_n": v_n,
                  "m": m_weights, "binarize": binarize}
         return w_pad[: self.m_rows, : self.n_cols], cache
-
-    def _chain_forward(self, ids, mats):
-        """Partial products of the gated block factors `ids` over all tiles:
-        entry i is the product of the first i blocks, the last is the chain."""
-        cum = np.broadcast_to(np.eye(self.k, dtype=complex), mats.shape[:2] +
-                              (self.k, self.k))
-        partials = [cum]
-        for b in ids:
-            cum = mats[:, :, b] @ cum
-            partials.append(cum)
-        return partials
 
     def backward(self, cache, g_w, extra_ptilde=None, extra_tq=None):
         """Reverse pass. g_w is the cotangent of the truncated weight matrix;
@@ -393,32 +418,40 @@ class SuperMesh:
         g_un = g_wt @ _herm(sig * v_n)
         g_dv = _herm(u_n) @ g_wt
         g_sigma = np.sum((g_dv * v_n.conj()).real, axis=-1)
-        chains = cache["chains"]
-        g_chains = {
-            "u": _normalize_backward(chains["u"][-1], cache["u_norms"],
-                                     g_un, axis=-1),
-            "v": _normalize_backward(chains["v"][-1], cache["v_norms"],
-                                     sig * g_dv, axis=-2),
-        }
 
+        # g_left[i] = L^H g for the product L of the factors after position
+        # i, both chains at once; then every factor's cotangent in one matmul.
+        factors, partials = cache["factors"], cache["partials"]
+        length = factors.shape[3]
+        g_left = np.empty(partials[1:].shape, dtype=complex)  # (L, P, Q, 2, K, K)
+        g_left[-1, :, :, 0] = _normalize_backward(partials[-1, :, :, 0],
+                                                  cache["u_norms"], g_un, axis=-1)
+        g_left[-1, :, :, 1] = _normalize_backward(partials[-1, :, :, 1],
+                                                  cache["v_norms"], sig * g_dv,
+                                                  axis=-2)
+        # (one conjugate transpose per position: a transpose of the whole
+        # stack is one more stack-sized temporary, which cost the K=32 search
+        # more in page faults than it saved in calls)
+        for i in range(length - 1, 0, -1):
+            np.matmul(_herm(factors[:, :, :, i]), g_left[i], out=g_left[i - 1])
+        g_factors = np.empty(factors.shape, dtype=complex)
+        np.matmul(g_left, _herm(partials[:-1]), out=np.moveaxis(g_factors, 3, 0))
         # g_mats[p, q, b]: cotangent on block b's gated factor in tile (p, q)
-        mats, amats = cache["mats"], cache["amats"]
-        g_mats = np.empty_like(amats)
-        for name, ids in (("u", self.u_block_ids()), ("v", self.v_block_ids())):
-            partials = chains[name]
-            g_left = g_chains[name]  # L^H g, L = product of the blocks after pos
-            for pos in range(len(ids) - 1, -1, -1):
-                b = ids[pos]
-                g_mats[:, :, b] = g_left @ _herm(partials[pos])
-                if pos > 0:
-                    g_left = _herm(mats[:, :, b]) @ g_left
+        amats = cache["amats"]
+        if self.n_u == self.n_v:
+            g_mats = g_factors.reshape(amats.shape)
+        else:   # drop the padding
+            g_mats = np.concatenate((g_factors[:, :, 0, length - self.n_u:],
+                                     g_factors[:, :, 1, length - self.n_v:]),
+                                    axis=2)
 
         g_m = None
         if not self.frozen.all():
             g_m = np.stack([np.trace(g_mats, axis1=-2, axis2=-1).sum(axis=(0, 1)).real,
                             np.sum((g_mats.conj() * amats).real, axis=(0, 1, 3, 4))],
                            axis=-1)
-        g_a = m_weights[:, 1, None, None] * g_mats
+        g_a = g_mats if cache["mats"] is amats else \
+            m_weights[:, 1, None, None] * g_mats
         r = cache["r"]
         g_r = np.einsum("...ij->...j", g_a * cache["pt_t"].conj())
         g_phi = (g_r.conj() * (-1j * r)).real

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import yaml
 
 from .errors import ConfigError, DomainError, InfeasibleError
 
@@ -52,6 +51,8 @@ def load_pdk(source) -> PdkSpec:
     if isinstance(source, dict):
         doc = source
     else:
+        import yaml   # here, not at module level: `import ptcsearch` stays yaml-free
+
         if isinstance(source, (str, os.PathLike)):
             try:
                 with open(source, "r") as fh:

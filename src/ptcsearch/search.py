@@ -6,6 +6,7 @@ extraction.
 """
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -108,6 +109,17 @@ class SearchSchedule:
     arch_weight_decay: float = 5e-4  # on theta
 
     def __post_init__(self):
+        for name in ("warmup_epochs", "spl_epoch", "total_epochs",
+                     "steps_per_epoch", "weight_arch_ratio"):
+            if not _is_integer(getattr(self, name)):
+                raise ConfigError(f"schedule '{name}' must be an integer")
+        for name in ("lr", "arch_lr"):
+            if not (_is_finite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ConfigError(f"schedule '{name}' must be finite and positive")
+        for name in ("weight_decay", "arch_weight_decay"):
+            if not (_is_finite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ConfigError(f"schedule '{name}' must be finite and "
+                                  f"nonnegative")
         if not self.warmup_epochs < self.spl_epoch < self.total_epochs:
             raise ConfigError("schedule requires warmup < spl_epoch < total")
         if self.steps_per_epoch < 1 or self.weight_arch_ratio < 0:
@@ -133,6 +145,18 @@ class SearchConfig:
     constraint: FootprintConstraint
     penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
     rho0: Optional[float] = None
+
+    def __post_init__(self):
+        if self.rho0 is not None and not (_is_finite(self.rho0) and self.rho0 > 0):
+            raise ConfigError("rho0 must be None or finite and positive")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 # ---------------------------------------------------------------------------

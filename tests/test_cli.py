@@ -191,6 +191,15 @@ MALFORMED_RUN_CONFIGS = {
     "schedule.weight_arch_ratio": {"schedule": dict(TINY_SCHEDULE, weight_arch_ratio=-1)},
     "schedule.tau_start": {"schedule": dict(TINY_SCHEDULE, tau_start=0)},
     "schedule.tau_end": {"schedule": dict(TINY_SCHEDULE, tau_end=0)},
+    "schedule.lr_not_a_number": {"schedule": dict(TINY_SCHEDULE, lr="abc")},
+    "schedule.lr_negative": {"schedule": dict(TINY_SCHEDULE, lr=-1e-3)},
+    "schedule.arch_lr_negative": {"schedule": dict(TINY_SCHEDULE, arch_lr=-1)},
+    "schedule.steps_per_epoch_fraction": {"schedule": dict(TINY_SCHEDULE,
+                                                           steps_per_epoch=1.5)},
+    "schedule.weight_decay_negative": {"schedule": dict(TINY_SCHEDULE,
+                                                        weight_decay=-1e-4)},
+    "rho0.not_a_number": {"rho0": "abc"},
+    "rho0.negative": {"rho0": -1},
     "task.not_a_mapping": {"task": 5},
     "task.classify_without_path": {"task": {"kind": "classify"}},
 }
@@ -212,6 +221,28 @@ def test_malformed_run_config_gives_json_error(tmp_path, capsys, monkeypatch, ca
     assert captured.out == ""
     assert json.loads(captured.err.strip())["error"] == "ConfigError"
     assert not out.exists()
+
+
+def test_schedule_rates_in_exponent_notation_are_numbers(tmp_path, capsys,
+                                                         monkeypatch):
+    # PyYAML reads 1e-3 (no decimal point) as a string
+    text = ("k: 8\npdk: amf\nf_min: 240000\nf_max: 300000\nschedule:\n"
+            "  warmup_epochs: 1\n  spl_epoch: 2\n  total_epochs: 4\n"
+            "  steps_per_epoch: 1\n  lr: 1e-3\n  arch_lr: 25e-3\n")
+    assert yaml.safe_load(text)["schedule"]["lr"] == "1e-3"
+    config = tmp_path / "run.yaml"
+    config.write_text(text)
+    schedules = []
+
+    def recording(config, schedule, *args):
+        schedules.append(schedule)
+        return search_module.run_search(config, schedule, *args)
+
+    monkeypatch.setattr(cli_module, "run_search", recording)
+    assert main(["search", "--config", str(config), "--seed", "0",
+                 "--out", str(tmp_path / "net.json")]) == 0
+    capsys.readouterr()
+    assert (schedules[0].lr, schedules[0].arch_lr) == (0.001, 0.025)
 
 
 def _emit_netlist(tmp_path, seed=5):

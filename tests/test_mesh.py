@@ -472,6 +472,66 @@ def test_stacked_coupler_matrix_rejects_any_length_mismatch():
 
 
 # ---------------------------------------------------------------------------
+# U and V chains of unequal length: the engine runs them as one stack, the
+# shorter chain front-padded with identity factors
+
+@pytest.mark.parametrize("gates", ["free", "frozen"])
+@pytest.mark.parametrize("n_u, n_v", [(3, 1), (1, 3)])
+def test_unequal_chains_match_oracle_and_fd(n_u, n_v, gates):
+    mesh, task = _fd_mesh(k=8, n_u=n_u, n_v=n_v, m_rows=12, n_cols=8, seed=32)
+    if gates == "free":
+        m = sample_gates(mesh, 1.0, np.random.default_rng(33))
+        assert np.all(m[:, 0] > 1e-3)
+    else:
+        mesh.frozen[:] = True
+        m = certainty_gates(mesh.n_blocks)
+    for binarize in (True, False):
+        w, _ = mesh.forward(m, binarize=binarize)
+        oracle = weight_partition_oracle(mesh, m, binarize=binarize).assemble()
+        np.testing.assert_allclose(w, oracle, rtol=0.0, atol=1e-12)
+    w, cache = mesh.forward(m, binarize=False)
+    grads = mesh.backward(cache, task.loss_and_grad(w)[1])
+    checks = [(mesh.phi, grads.phi), (mesh.sigma, grads.sigma),
+              (mesh.p_raw, grads.p_raw), (mesh.t_flat, grads.t_latent)]
+    if gates == "free":
+        checks.append((m, grads.m))
+    else:
+        assert grads.m is None
+
+    def value():
+        return _task_value(mesh, task, m)
+
+    rng = np.random.default_rng(34)
+    for param, analytic in checks:
+        coords = rng.choice(param.size, size=min(30, param.size), replace=False)
+        for a, n, rel in fd_check(value, param, analytic, coords):
+            assert rel < 1e-4, (a, n, rel)
+
+
+def test_unequal_chains_from_topology_match_oracle_and_fd():
+    from helpers import random_topology
+    rng = np.random.default_rng(35)
+    mesh = SuperMesh.from_topology(random_topology(8, 2, 3, rng), m_rows=8,
+                                   n_cols=16, rng=rng)
+    task = MatrixFitTask(0.3 * (rng.normal(size=(8, 16))
+                                + 1j * rng.normal(size=(8, 16))))
+    gates = certainty_gates(mesh.n_blocks)
+    w, cache = mesh.forward(gates)
+    oracle = weight_partition_oracle(mesh, gates).assemble()
+    np.testing.assert_allclose(w, oracle, rtol=0.0, atol=1e-12)
+    grads = mesh.backward(cache, task.loss_and_grad(w)[1])
+    assert grads.p_raw is None and grads.t_latent is None and grads.m is None
+
+    def value():
+        return task.loss_and_grad(mesh.forward(gates)[0])[0]
+
+    for param, analytic in ((mesh.phi, grads.phi), (mesh.sigma, grads.sigma)):
+        coords = rng.choice(param.size, size=min(30, param.size), replace=False)
+        for a, n, rel in fd_check(value, param, analytic, coords):
+            assert rel < 1e-4, (a, n, rel)
+
+
+# ---------------------------------------------------------------------------
 # frozen groups: backward skips their branches and returns None for them
 
 def _fixed_structure_mesh(seed):
@@ -561,7 +621,7 @@ def _edit_in_place(mesh, what):
     return what != "binarize"
 
 
-STRUCTURE_KEYS = ("p_tildes", "t_mats")
+STRUCTURE_KEYS = ("p_tildes", "t_mats", "pt_t")
 
 
 @pytest.mark.parametrize("what", ["p_raw", "t_latent", "offsets", "binarize"])
@@ -583,6 +643,11 @@ def test_structure_cache_sees_in_place_edits(what):
         assert np.array_equal(first[key], held[key])
     oracle = weight_partition_oracle(mesh, gates, binarize=binarize).assemble()
     np.testing.assert_allclose(after, oracle, rtol=0.0, atol=1e-12)
+    # the cached P~T follows the edit; a continuous pass forms its own
+    # product and leaves the cached one in place
+    cached = mesh.forward(gates)[1]["pt_t"]
+    assert np.array_equal(cached, twin.forward(gates)[1]["pt_t"])
+    assert (cached is first["pt_t"]) == (what == "binarize")
     # the backward pass (which reads the cached slot index) and the
     # footprint counts are built with the same parts, so they follow too
     g_w = task.loss_and_grad(after)[1]
@@ -641,6 +706,16 @@ def test_fixed_topology_retrain_builds_the_structure_once(monkeypatch):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(mesh_module, name, counted)
+    products = []   # every distinct P~T array a forward pass used
+    forward = SuperMesh.forward
+
+    def recording(self, *args, **kwargs):
+        w, cache = forward(self, *args, **kwargs)
+        if not any(cache["pt_t"] is seen for seen in products):
+            products.append(cache["pt_t"])
+        return w, cache
+
+    monkeypatch.setattr(SuperMesh, "forward", recording)
     rng = np.random.default_rng(28)
     topology = random_topology(8, 3, 3, rng)
     task = MatrixFitTask(random_unitary(8, rng))
@@ -648,6 +723,7 @@ def test_fixed_topology_retrain_builds_the_structure_once(monkeypatch):
                                     rng=rng)
     robustness_sweep(mesh, task, [0.0, 0.02, 0.05], 3, rng)
     assert calls == {"reparametrize": 1, "coupler_matrix": 1}
+    assert len(products) == 1
 
 
 def test_structure_cache_entries_are_read_only():
@@ -655,6 +731,6 @@ def test_structure_cache_entries_are_read_only():
     gates = certainty_gates(mesh.n_blocks)
     _, cache = mesh.forward(gates)
     assert mesh.perm_tildes() is cache["p_tildes"]
-    for key in ("p_tildes", "t_mats"):
+    for key in STRUCTURE_KEYS:
         with pytest.raises(ValueError):
             cache[key][0, 0, 0] = 1.0

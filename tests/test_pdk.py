@@ -1,6 +1,9 @@
 """Footprint accounting: device counting, proxies, penalties, block bounds."""
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from helpers import (
     random_topology,
 )
 from oracle import count_couplers
+import ptcsearch
 from ptcsearch import (
     BlockBounds,
     ConfigError,
@@ -68,6 +72,16 @@ def test_load_pdk_from_yaml_file(tmp_path):
     path.write_text("name: custom\nf_ps: 100.0\nf_dc: 10.0\nf_cr: 1.0\n")
     pdk = load_pdk(str(path))
     assert pdk.name == "custom" and pdk.f_ps == 100.0
+
+
+def test_import_does_not_load_yaml():
+    # yaml is imported where a YAML document is first read, not at start-up
+    src = os.path.dirname(os.path.dirname(ptcsearch.__file__))
+    code = "import sys, ptcsearch; print('yaml' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_load_pdk_missing_field():

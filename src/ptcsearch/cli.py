@@ -1,12 +1,11 @@
 """Command-line surface: search, eval, footprint, legalize, report."""
 import argparse
-import dataclasses
 import json
 import sys
 
 import numpy as np
-import yaml
 
+from . import schema
 from .errors import ConfigError, PtcError
 from .netlist import (
     atomic_write_text,
@@ -21,9 +20,11 @@ from .netlist import (
 from .pdk import (
     FootprintConstraint,
     PenaltyConfig,
+    block_bounds,
     footprint_exact,
     footprint_from_counts,
     load_pdk,
+    read_yaml,
 )
 from .permutation import SplConfig, perm_matrix_to_array, spl_legalize
 from .search import SearchConfig, SearchSchedule, run_search
@@ -61,76 +62,32 @@ def baseline_footprint(name: str, size: int, pdk_name: str):
 
 
 def _build_task(task_doc: dict, k: int, rng):
-    if not isinstance(task_doc, dict):
-        raise ConfigError("task must be a mapping")
-    kind = task_doc.get("kind", "matrix_fit")
-    if kind == "matrix_fit":
-        target_kind = task_doc.get("target", "random_unitary")
-        if target_kind == "random_unitary":
-            return MatrixFitTask(random_unitary(k, rng))
-        raise PtcError(f"unknown matrix-fit target '{target_kind}'")
-    if kind == "classify":
-        if "path" not in task_doc:
-            raise ConfigError("classify task is missing 'path'")
-        return load_dataset(task_doc["path"], fmt=task_doc.get("format", "csv"),
-                            split=float(task_doc.get("split", 0.8)),
-                            seed=int(task_doc.get("split_seed", 0)),
-                            labels_path=task_doc.get("labels_path"))
-    raise PtcError(f"unknown task kind '{kind}'")
-
-
-def _load_run_config(path):
-    with open(path, "r") as fh:
-        doc = yaml.safe_load(fh)
-    if not isinstance(doc, dict):
-        raise PtcError("run config must be a mapping")
-    for key in ("k", "pdk", "f_min", "f_max"):
-        if key not in doc:
-            raise PtcError(f"run config is missing '{key}'")
-    return doc
-
-
-def _number(doc, key, kind, default=None):
-    """Run-config field `key` (or default) converted by kind (int or float)."""
-    try:
-        return kind(doc.get(key, default))
-    except (TypeError, ValueError):
-        raise ConfigError(f"run config '{key}' is not a number") from None
-
-
-def _schedule(doc):
-    schedule = doc.get("schedule", {})
-    if not isinstance(schedule, dict):
-        raise ConfigError("run config 'schedule' must be a mapping")
-    # YAML reads 1e-3 as a string: convert the float fields as _number does;
-    # the integer fields are checked, not rounded, by SearchSchedule
-    float_fields = {f.name for f in dataclasses.fields(SearchSchedule)
-                    if f.type is float}
-    schedule = {key: _number(schedule, key, float) if key in float_fields
-                else value for key, value in schedule.items()}
-    try:
-        return SearchSchedule(**schedule)
-    except TypeError as exc:   # an unknown key
-        raise ConfigError(f"run config 'schedule': {exc}") from None
+    """The task of a task document that schema.TASK has checked."""
+    if task_doc.get("kind", "matrix_fit") == "matrix_fit":
+        return MatrixFitTask(random_unitary(k, rng))
+    if "path" not in task_doc:
+        raise ConfigError("classify task is missing 'path'")
+    return load_dataset(task_doc["path"], fmt=task_doc.get("format", "csv"),
+                        split=task_doc.get("split", 0.8),
+                        seed=task_doc.get("split_seed", 0),
+                        labels_path=task_doc.get("labels_path"))
 
 
 def cmd_search(args):
-    doc = _load_run_config(args.config)
+    doc = read_yaml(args.config)
+    checked = schema.RUN_CONFIG(doc)
     rng = np.random.default_rng(args.seed)
-    k = _number(doc, "k", int)
-    constraint = FootprintConstraint(_number(doc, "f_min", float),
-                                     _number(doc, "f_max", float),
-                                     margin=_number(doc, "margin", float, 0.05))
-    penalty = PenaltyConfig(beta=_number(doc, "beta", float, 10.0),
-                            beta_cr=_number(doc, "beta_cr", float, 100.0))
-    schedule = _schedule(doc)
-    config = SearchConfig(k=k, pdk=doc["pdk"], constraint=constraint,
-                          penalty=penalty,
-                          rho0=None if doc.get("rho0") is None
-                          else _number(doc, "rho0", float))
-    task = _build_task(doc.get("task", {}), k, np.random.default_rng(args.seed + 1))
+    schedule = SearchSchedule(**checked.get("schedule", {}))
+    config = SearchConfig(
+        pdk=checked["pdk"], **schema.present(checked, schema.SEARCH),
+        constraint=FootprintConstraint(**schema.present(checked, schema.WINDOW)),
+        penalty=PenaltyConfig(**schema.present(checked, schema.PENALTY)))
+    # a window that admits no design fails before a K x K task is built
+    pdk = load_pdk(config.pdk)
+    block_bounds(pdk, config.k, config.constraint)
+    task = _build_task(checked.get("task", {}), config.k,
+                       np.random.default_rng(args.seed + 1))
     mesh, topology, logs = run_search(config, schedule, task, rng)
-    pdk = load_pdk(doc["pdk"])
     provenance = {"seed": args.seed, "config_hash": config_hash(doc),
                   "schedule": {"warmup_epochs": schedule.warmup_epochs,
                                "spl_epoch": schedule.spl_epoch,
@@ -172,17 +129,13 @@ def cmd_eval(args):
     doc = read_netlist(args.netlist)
     topology = doc_to_topology(doc)
     rng = np.random.default_rng(args.seed)
-    if args.task:
-        with open(args.task, "r") as fh:
-            task_doc = yaml.safe_load(fh)
-    else:
-        task_doc = {"kind": "matrix_fit", "target": "random_unitary"}
+    task_doc = schema.TASK(read_yaml(args.task)) if args.task else {}
     task = _build_task(task_doc, topology.k, np.random.default_rng(args.seed + 1))
     sigmas = _parse_sigma_grid(args.sigma_grid)
     noise = NoiseModel(phase_sigma=args.train_sigma)
     mesh, metrics = variation_aware_train(topology, task, noise,
                                           steps=args.train_steps, rng=rng)
-    rows = robustness_sweep(mesh, task, sigmas, max(2, args.trials), rng)
+    rows = robustness_sweep(mesh, task, sigmas, args.trials, rng)
     n_cr, n_dc, n_blk = topology.device_counts()
     lines = ["sigma,mean_metric,std_metric,n_cr,n_dc,n_blk"]
     for sigma, mean, std in rows:
@@ -214,16 +167,9 @@ def cmd_footprint(args):
 
 
 def cmd_legalize(args):
-    doc = read_json(args.checkpoint)
-    for key in ("k", "p_raw"):
-        if not isinstance(doc, dict) or key not in doc:
-            raise ConfigError(f"checkpoint is missing field '{key}'")
-    try:
-        p_raw = np.asarray(doc["p_raw"], dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError("checkpoint p_raw is not a numeric array") from None
-    k = doc["k"]
-    if p_raw.size and (p_raw.ndim != 3 or p_raw.shape[1:] != (k, k)):
+    doc = schema.CHECKPOINT(read_json(args.checkpoint))
+    k, p_raw = doc["k"], doc["p_raw"]
+    if len(p_raw) and p_raw.shape[1:] != (k, k):
         raise ConfigError("checkpoint p_raw must be a list of k x k matrices")
     rng = np.random.default_rng(args.seed)
     cfg = SplConfig(max_attempts=args.max_attempts)
@@ -257,12 +203,17 @@ def cmd_report(args):
     return 0
 
 
-def nonnegative_int(text):
-    """argparse type of --seed: numpy's generators take no negative seed."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+def _integer_arg(ge):
+    """argparse type: an integer >= ge by the schema's integer rule; a bad
+    value exits 2 before any input is read."""
+    rule = schema.integer(ge=ge)
+
+    def integer(text):
+        try:
+            return rule(int(text))
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return integer
 
 
 def build_parser():
@@ -270,45 +221,46 @@ def build_parser():
         prog="ptcsearch",
         description="Footprint-constrained photonic tensor-core topology search.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # every command takes a seed; numpy's generators take no negative one
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_integer_arg(0), required=True)
 
-    p = sub.add_parser("search", help="run a topology search")
+    p = sub.add_parser("search", parents=[seeded], help="run a topology search")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=nonnegative_int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.add_argument("--log")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("eval", help="variation-aware retraining + noise sweep")
+    p = sub.add_parser("eval", parents=[seeded],
+                       help="variation-aware retraining + noise sweep")
     p.add_argument("--netlist", required=True)
-    p.add_argument("--seed", type=nonnegative_int, required=True)
     p.add_argument("--task")
     p.add_argument("--sigma-grid", default="0,0.01,0.02,0.04,0.08")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--train-steps", type=int, default=300)
+    p.add_argument("--trials", type=_integer_arg(2), default=20)
+    p.add_argument("--train-steps", type=_integer_arg(0), default=300)
     p.add_argument("--train-sigma", type=float, default=0.02)
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("footprint", help="footprint of a netlist or baseline")
+    p = sub.add_parser("footprint", parents=[seeded],
+                       help="footprint of a netlist or baseline")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--netlist")
     group.add_argument("--baseline", choices=["mzi", "fft"])
     p.add_argument("--size", type=int, default=8)
     p.add_argument("--pdk", default="amf")
-    p.add_argument("--seed", type=nonnegative_int, required=True)
     p.set_defaults(func=cmd_footprint)
 
-    p = sub.add_parser("legalize", help="run SPL on a relaxed mesh checkpoint")
+    p = sub.add_parser("legalize", parents=[seeded],
+                       help="run SPL on a relaxed mesh checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--seed", type=nonnegative_int, required=True)
-    p.add_argument("--max-attempts", type=int, default=200)
+    p.add_argument("--max-attempts", type=_integer_arg(1), default=200)
     p.add_argument("--out")
     p.set_defaults(func=cmd_legalize)
 
-    p = sub.add_parser("report", help="summarize a netlist")
+    p = sub.add_parser("report", parents=[seeded], help="summarize a netlist")
     p.add_argument("--netlist", required=True)
-    p.add_argument("--seed", type=nonnegative_int, required=True)
     p.set_defaults(func=cmd_report)
     return parser
 

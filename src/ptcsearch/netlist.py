@@ -4,13 +4,11 @@ import json
 import os
 import tempfile
 
-import numpy as np
-
-from .errors import ConfigError
+from . import schema
+from .errors import ConfigError, DomainError
 from .pdk import PdkSpec, footprint_exact, load_pdk
-from .topology import TopoBlock, Topology, n_coupler_slots
-
-NETLIST_VERSION = 1
+from .schema import NETLIST_VERSION
+from .topology import TopoBlock, Topology
 
 
 def _block_doc(block: TopoBlock) -> dict:
@@ -42,71 +40,33 @@ def topology_to_doc(topology: Topology, pdk: PdkSpec, provenance=None) -> dict:
     }
 
 
-def _field(mapping, key: str, where: str = ""):
-    """mapping[key] of a parsed document; ConfigError names a missing field,
-    or a parent that is not a mapping, by its dotted path."""
-    name = f"{where}.{key}" if where else key
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise ConfigError(f"netlist is missing field '{name}'")
-    return mapping[key]
-
-
 def doc_to_topology(doc: dict) -> Topology:
     """Validate and rebuild a topology; raises ConfigError on violations."""
-    for key in ("version", "k", "pdk", "unitaries", "footprint"):
-        _field(doc, key)
-    if doc["version"] != NETLIST_VERSION:
-        raise ConfigError(f"unsupported netlist version {doc['version']}")
-    try:
-        k = int(doc["k"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"netlist k {doc['k']!r} is not an integer") from None
+    checked = schema.NETLIST(doc)
+    k = checked["k"]
 
     def parse_blocks(name):
-        entries = _field(doc["unitaries"], name, "unitaries")
-        if not isinstance(entries, list):
-            raise ConfigError(f"netlist field 'unitaries.{name}' must be a list")
         blocks = []
-        for i, entry in enumerate(entries):
+        for i, entry in enumerate(checked["unitaries"][name]):
             where = f"unitaries.{name}[{i}]"
-            perm = _field(entry, "cr", where)
-            dc = _field(entry, "dc", where)
-            mask = _field(dc, "mask", where + ".dc")
-            offset = _field(dc, "offset", where + ".dc")
-            phases = _field(entry, "ps", where)
+            if entry["ps"].shape != (k,):
+                raise ConfigError(f"{where}.ps must hold k = {k} phases")
             try:
-                if sorted(perm) != list(range(k)):
-                    raise ConfigError("cr not a permutation")
-                offset = int(offset)
-                if len(mask) != n_coupler_slots(k, offset):
-                    raise ConfigError("dc mask length does not match K and offset")
-                if len(phases) != k:
-                    raise ConfigError("ps column must hold K phases")
-                blocks.append(TopoBlock(
-                    phases=np.asarray(phases, dtype=float),
-                    coupler_mask=np.asarray(mask, dtype=bool),
-                    offset=offset,
-                    perm=np.asarray(perm, dtype=int),
-                ))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"netlist block {where} is malformed: {exc}") \
-                    from None
+                blocks.append(TopoBlock(phases=entry["ps"],
+                                        coupler_mask=entry["dc"]["mask"],
+                                        offset=entry["dc"]["offset"],
+                                        perm=entry["cr"]))
+            except DomainError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
         return blocks
 
-    topology = Topology(
-        k=k,
-        pdk_name=str(doc["pdk"]),
-        blocks_u=parse_blocks("u"),
-        blocks_v=parse_blocks("v"),
-    )
-    pdk = load_pdk(doc["pdk"])
-    fp = doc["footprint"]
-    claimed = tuple(_field(fp, key, "footprint")
-                    for key in ("n_blocks", "n_dc", "n_cr", "area_um2"))
+    topology = Topology(k=k, pdk_name=checked["pdk"],
+                        blocks_u=parse_blocks("u"), blocks_v=parse_blocks("v"))
+    fp = checked["footprint"]
     n_cr, n_dc, n_blk = topology.device_counts()
-    if claimed[:3] != (n_blk, n_dc, n_cr):
+    if (fp["n_blocks"], fp["n_dc"], fp["n_cr"]) != (n_blk, n_dc, n_cr):
         raise ConfigError("netlist device counts do not match its blocks")
-    if claimed[3] != footprint_exact(topology, pdk):
+    if fp["area_um2"] != footprint_exact(topology, load_pdk(checked["pdk"])):
         raise ConfigError("netlist footprint summary does not match its counts")
     return topology
 

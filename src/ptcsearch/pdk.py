@@ -11,6 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import schema
 from .errors import ConfigError, DomainError, InfeasibleError
 
 # Straight-through gradient of a block's coupler count in each binarized
@@ -28,12 +29,7 @@ class PdkSpec:
     f_cr: float
 
     def __post_init__(self):
-        for field_name in ("f_ps", "f_dc", "f_cr"):
-            value = getattr(self, field_name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise ConfigError(f"{field_name} must be a finite number")
-            if value <= 0:
-                raise ConfigError(f"{field_name} must be positive")
+        schema.check_fields(self, schema.PDK)
 
 
 BUILTIN_PDKS = {
@@ -43,37 +39,29 @@ BUILTIN_PDKS = {
 
 
 def load_pdk(source) -> PdkSpec:
-    """Load a PDK from a YAML document, file path, dict, or builtin name."""
+    """Load a PDK from a builtin name, a YAML file path, or a mapping."""
     if isinstance(source, PdkSpec):
         return source
     if isinstance(source, str) and source in BUILTIN_PDKS:
         return BUILTIN_PDKS[source]
-    if isinstance(source, dict):
-        doc = source
-    else:
-        import yaml   # here, not at module level: `import ptcsearch` stays yaml-free
+    if isinstance(source, (str, os.PathLike)):
+        try:
+            source = read_yaml(source)
+        except OSError as exc:
+            raise ConfigError(f"PDK {str(source)!r} is neither a builtin "
+                              f"name nor a readable file: {exc.strerror}") from None
+    return PdkSpec(**schema.PDK_DOC(source))
 
-        if isinstance(source, (str, os.PathLike)):
-            try:
-                with open(source, "r") as fh:
-                    doc = yaml.safe_load(fh)
-            except OSError as exc:
-                raise ConfigError(f"PDK {str(source)!r} is neither a builtin "
-                                  f"name nor a readable file: {exc.strerror}") \
-                    from None
-        else:
-            doc = yaml.safe_load(source)
-    if not isinstance(doc, dict):
-        raise ConfigError("PDK document must be a mapping")
-    for key in ("name", "f_ps", "f_dc", "f_cr"):
-        if key not in doc:
-            raise ConfigError(f"PDK document is missing field '{key}'")
-    return PdkSpec(
-        name=str(doc["name"]),
-        f_ps=float(doc["f_ps"]),
-        f_dc=float(doc["f_dc"]),
-        f_cr=float(doc["f_cr"]),
-    )
+
+def read_yaml(path):
+    """Parse a YAML file; ConfigError if its text is not YAML."""
+    import yaml   # here, not at module level: `import ptcsearch` stays yaml-free
+
+    with open(path, "r") as fh:
+        try:
+            return yaml.safe_load(fh)
+        except (yaml.YAMLError, ValueError) as exc:   # ValueError: not UTF-8
+            raise ConfigError(f"{path} is not a YAML document: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -85,10 +73,10 @@ class FootprintConstraint:
     margin: float = 0.05
 
     def __post_init__(self):
-        if not (0 < self.f_min < self.f_max):
-            raise ConfigError("footprint window requires 0 < f_min < f_max")
-        if self.f_hat_min >= self.f_hat_max:
-            raise ConfigError("constraint margin collapses the footprint window")
+        schema.check_fields(self, schema.WINDOW)
+        if self.f_hat_min >= self.f_hat_max:   # so f_min >= f_max fails too
+            raise ConfigError("footprint window requires "
+                              "(1 + margin) f_min < (1 - margin) f_max")
 
     @property
     def f_hat_min(self) -> float:
@@ -110,8 +98,7 @@ class PenaltyConfig:
     beta_cr: float = 100.0
 
     def __post_init__(self):
-        if self.beta < 0 or self.beta_cr < 0:
-            raise ConfigError("penalty weights must be nonnegative")
+        schema.check_fields(self, schema.PENALTY)
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,12 @@ extraction.
 """
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from . import schema
 from .errors import ConfigError, DivergenceError, InfeasibleError, StateError
 from .mesh import SuperMesh
 from .optim import Adam, cosine_lr
@@ -109,29 +109,13 @@ class SearchSchedule:
     arch_weight_decay: float = 5e-4  # on theta
 
     def __post_init__(self):
-        for name in ("warmup_epochs", "spl_epoch", "total_epochs",
-                     "steps_per_epoch", "weight_arch_ratio"):
-            if not _is_integer(getattr(self, name)):
-                raise ConfigError(f"schedule '{name}' must be an integer")
-        for name in ("lr", "arch_lr"):
-            if not (_is_finite(getattr(self, name)) and getattr(self, name) > 0):
-                raise ConfigError(f"schedule '{name}' must be finite and positive")
-        for name in ("weight_decay", "arch_weight_decay"):
-            if not (_is_finite(getattr(self, name)) and getattr(self, name) >= 0):
-                raise ConfigError(f"schedule '{name}' must be finite and "
-                                  f"nonnegative")
+        schema.check_fields(self, schema.SCHEDULE)
         if not self.warmup_epochs < self.spl_epoch < self.total_epochs:
-            raise ConfigError("schedule requires warmup < spl_epoch < total")
-        if self.steps_per_epoch < 1 or self.weight_arch_ratio < 0:
-            raise ConfigError("schedule requires steps_per_epoch >= 1 and "
-                              "weight_arch_ratio >= 0")
-        if not (self.tau_start > 0 and self.tau_end > 0):
-            raise ConfigError("schedule requires positive tau_start and tau_end")
+            raise ConfigError("schedule requires warmup_epochs < spl_epoch "
+                              "< total_epochs")
 
     def tau_at(self, epoch: int) -> float:
         """Exponential decay with exact endpoints."""
-        if self.total_epochs == 1:
-            return self.tau_start
         frac = epoch / (self.total_epochs - 1)
         return self.tau_start * (self.tau_end / self.tau_start) ** frac
 
@@ -147,16 +131,7 @@ class SearchConfig:
     rho0: Optional[float] = None
 
     def __post_init__(self):
-        if self.rho0 is not None and not (_is_finite(self.rho0) and self.rho0 > 0):
-            raise ConfigError("rho0 must be None or finite and positive")
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    return isinstance(value, numbers.Real) and math.isfinite(value)
+        schema.check_fields(self, schema.SEARCH)
 
 
 # ---------------------------------------------------------------------------

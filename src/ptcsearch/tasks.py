@@ -1,12 +1,12 @@
 """Desk-scale tasks, phase-noise injection, and robustness evaluation."""
 import copy
 import csv
-import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import schema
 from .errors import ConfigError, DivergenceError, DomainError, StateError
 from .mesh import SuperMesh, WeightPartition, certainty_gates
 from .optim import Adam
@@ -118,11 +118,11 @@ def random_unitary(k: int, rng: np.random.Generator) -> np.ndarray:
 
 def check_phase_sigma(sigma) -> float:
     """A phase-noise standard deviation as a float; DomainError unless it is
-    finite and nonnegative."""
-    sigma = float(sigma)
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise DomainError(f"phase sigma must be finite and nonnegative, got {sigma!r}")
-    return sigma
+    finite and nonnegative (schema.NONNEGATIVE)."""
+    try:
+        return schema.NONNEGATIVE(sigma, "phase sigma")
+    except ConfigError as exc:
+        raise DomainError(str(exc)) from None
 
 
 @dataclass

@@ -39,9 +39,9 @@ class TopoBlock:
         self.perm = np.asarray(self.perm, dtype=int)
         k = self.phases.shape[0]
         if sorted(self.perm.tolist()) != list(range(k)):
-            raise DomainError("block permutation is not a permutation of 0..K-1")
-        if self.coupler_mask.shape[0] != n_coupler_slots(k, self.offset):
-            raise DomainError("coupler mask length does not match K and offset")
+            raise DomainError("cr not a permutation of 0..K-1")
+        if self.coupler_mask.shape != (n_coupler_slots(k, self.offset),):
+            raise DomainError("dc mask length does not match K and offset")
 
     @property
     def n_dc(self) -> int:

@@ -1,10 +1,14 @@
 """Command-line surface and netlist round trips."""
+import copy
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_topology
 from ptcsearch import ConfigError, footprint_exact, load_pdk
@@ -202,6 +206,12 @@ MALFORMED_RUN_CONFIGS = {
     "rho0.negative": {"rho0": -1},
     "task.not_a_mapping": {"task": 5},
     "task.classify_without_path": {"task": {"kind": "classify"}},
+    "k.fraction": {"k": 8.5},
+    "margin.nan": {"margin": math.nan},
+    "beta.nan": {"beta": math.nan},
+    "beta.inf": {"beta": math.inf},
+    "f_max.inf": {"f_max": math.inf},
+    "pdk.list": {"pdk": [1]},
 }
 
 
@@ -361,6 +371,17 @@ MALFORMED_NETLISTS = {
     "unitaries.not_a_mapping": lambda doc: doc.update(unitaries=[]),
     "pdk.unknown": lambda doc: doc.update(pdk="no-such-pdk"),
     "truncated": None,
+    "pdk.list": lambda doc: doc.update(pdk=[]),
+    "pdk.zero": lambda doc: doc.update(pdk=0),
+    "pdk.null": lambda doc: doc.update(pdk=None),
+    "k.fraction": lambda doc: doc.update(k=8.7),
+    "version.true": lambda doc: doc.update(version=True),
+    "block.dc.offset_fraction":
+        lambda doc: doc["unitaries"]["u"][0]["dc"].update(offset=0.5),
+    "block.dc.mask_string": lambda doc: doc["unitaries"]["u"][0]["dc"].update(
+        mask="x" * len(doc["unitaries"]["u"][0]["dc"]["mask"])),
+    "ps.nan": lambda doc: doc["unitaries"]["v"][0]["ps"].__setitem__(2, math.nan),
+    "ps.inf": lambda doc: doc["unitaries"]["v"][1]["ps"].__setitem__(0, math.inf),
 }
 
 NETLIST_COMMANDS = {
@@ -486,10 +507,24 @@ def test_seed_flag_is_required(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command", ["search", "eval", "legalize"])
-def test_negative_seed_is_an_argument_error(tmp_path, capsys, command):
+BAD_ARGUMENTS = {
+    "search": ("search", "--seed", "-1", "--seed: must be nonnegative"),
+    "eval": ("eval", "--seed", "-1", "--seed: must be nonnegative"),
+    "legalize": ("legalize", "--seed", "-1", "--seed: must be nonnegative"),
+    "eval-trials": ("eval", "--trials", "0", "--trials: must be >= 2"),
+    "eval-train-steps": ("eval", "--train-steps", "-3",
+                         "--train-steps: must be nonnegative"),
+    "legalize-max-attempts": ("legalize", "--max-attempts", "0",
+                              "--max-attempts: must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_negative_seed_is_an_argument_error(tmp_path, capsys, case):
     # numpy's generators take no negative seed: argparse rejects it, as it
-    # does a seed that is not an integer, before any input is read
+    # does a seed that is not an integer, before any input is read; so it
+    # does a count below its bound (--trials, --train-steps, --max-attempts)
+    command, flag, value, message = BAD_ARGUMENTS[case]
     config = tmp_path / "run.yaml"
     config.write_text(yaml.safe_dump({"k": 8, "pdk": "amf", "f_min": 240_000.0,
                                       "f_max": 300_000.0,
@@ -501,12 +536,138 @@ def test_negative_seed_is_an_argument_error(tmp_path, capsys, command):
             "eval": ["--netlist", str(_emit_netlist(tmp_path)),
                      "--train-steps", "1", "--trials", "2"],
             "legalize": ["--checkpoint", str(checkpoint)]}
+    seed = [] if flag == "--seed" else ["--seed", "0"]
     with pytest.raises(SystemExit) as exc:
-        main([command] + args[command] + ["--seed", "-1"])
+        main([command] + args[command] + seed + [flag, value])
     assert exc.value.code == 2
-    assert "--seed: must be nonnegative" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_canonical_dump_stable():
     doc = _netlist_doc(seed=9)
     assert dumps_canonical(doc) == dumps_canonical(json.loads(dumps_canonical(doc)))
+
+
+# ---------------------------------------------------------------------------
+# fuzz: one field of a valid input document changed or dropped
+
+HOSTILE = (None, "x", -1, 1.5, [], {}, math.nan, math.inf, True, 10**6, 0)
+DROP = object()
+SEARCH_STEP = search_module.search_step
+
+
+class _LongRun(Exception):
+    """A fuzzed run config was accepted and trains longer than the valid one."""
+
+
+def _capped_search_step(limit):
+    calls = []
+
+    def step(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > limit:
+            raise _LongRun
+        return SEARCH_STEP(*args, **kwargs)
+    return step
+
+
+def _field_paths(doc, prefix=()):
+    """The path (keys and list indices) of every field nested in doc."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+def _fuzz_inputs(tmp_path):
+    """Per command: the valid documents it reads, by file name, and its
+    arguments. Every command exits 0 on these documents."""
+    rng = np.random.default_rng(0)
+    data = tmp_path / "data.csv"
+    rows = [",".join([f"f{i}" for i in range(8)] + ["label"])]
+    rows += [",".join([f"{v:.3f}" for v in rng.uniform(size=8)] + [str(i % 3)])
+             for i in range(12)]
+    data.write_text("\n".join(rows) + "\n")
+    run = {"k": 8, "pdk": str(tmp_path / "pdk.yaml"), "f_min": 240_000.0,
+           "f_max": 300_000.0, "margin": 0.05, "beta": 10.0, "beta_cr": 100.0,
+           "rho0": 1.0, "schedule": {
+               "warmup_epochs": 0, "spl_epoch": 1, "total_epochs": 2,
+               "steps_per_epoch": 1, "weight_arch_ratio": 3, "tau_start": 5.0,
+               "tau_end": 0.5, "lr": 1e-3, "arch_lr": 0.025,
+               "weight_decay": 1e-4, "arch_weight_decay": 5e-4},
+           "task": {"kind": "matrix_fit", "target": "random_unitary"}}
+    pdk = {"name": "amf-copy", "f_ps": 6800.0, "f_dc": 1500.0, "f_cr": 64.0}
+    task = {"kind": "classify", "path": str(data), "format": "csv",
+            "split": 0.75, "split_seed": 1}
+    net = _netlist_doc(seed=10)
+    checkpoint = {"k": 3, "p_raw": rng.uniform(size=(2, 3, 3)).tolist()}
+    path = {name: str(tmp_path / name) for name in
+            ("run.yaml", "net.json", "task.yaml", "ckpt.json", "out.json")}
+    return {
+        "search": ({"run.yaml": run, "pdk.yaml": pdk},
+                   ["search", "--config", path["run.yaml"], "--out", path["out.json"]]),
+        "eval": ({"net.json": net, "task.yaml": task},
+                 ["eval", "--netlist", path["net.json"], "--task", path["task.yaml"],
+                  "--sigma-grid", "0,0.01", "--train-steps", "2", "--trials", "2"]),
+        "report": ({"net.json": net}, ["report", "--netlist", path["net.json"]]),
+        "footprint": ({"net.json": net},
+                      ["footprint", "--netlist", path["net.json"]]),
+        "legalize": ({"ckpt.json": checkpoint},
+                     ["legalize", "--checkpoint", path["ckpt.json"]]),
+    }
+
+
+def _write_documents(tmp_path, docs):
+    for name, doc in docs.items():
+        text = yaml.safe_dump(doc) if name.endswith(".yaml") else json.dumps(doc)
+        (tmp_path / name).write_text(text)
+
+
+@pytest.mark.parametrize("command", ["search", "eval", "report", "footprint",
+                                     "legalize"])
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_document_exits_0_or_1_with_one_error_record(
+        tmp_path, capsys, monkeypatch, command, data):
+    docs, argv = _fuzz_inputs(tmp_path)[command]
+    name = data.draw(st.sampled_from(sorted(docs)))
+    field = data.draw(st.sampled_from(list(_field_paths(docs[name]))))
+    value = data.draw(st.sampled_from(HOSTILE + (DROP,)))
+    parent = docs[name]
+    for key in field[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[field[-1]]
+    else:
+        parent[field[-1]] = copy.deepcopy(value)
+    _write_documents(tmp_path, docs)
+    # a fuzzed schedule may ask for 10**6 epochs: past the valid config's two
+    # steps, training counts as accepted input
+    monkeypatch.setattr(search_module, "search_step", _capped_search_step(2))
+    capsys.readouterr()
+    try:
+        code = main(argv + ["--seed", "0"])
+    except _LongRun:
+        code = 0
+    captured = capsys.readouterr()
+    assert code in (0, 1)
+    if code == 1:
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error", "message"}
+
+
+@pytest.mark.parametrize("command", ["search", "eval", "report", "footprint",
+                                     "legalize"])
+def test_fuzz_inputs_are_valid(tmp_path, capsys, command):
+    docs, argv = _fuzz_inputs(tmp_path)[command]
+    _write_documents(tmp_path, docs)
+    assert main(argv + ["--seed", "0"]) == 0
+    capsys.readouterr()

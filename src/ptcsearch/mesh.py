@@ -188,6 +188,7 @@ class SuperMesh:
         self.perms_trainable = True
         self.couplers_trainable = True
         self._structure = {}
+        self._workspace = {}    # backward buffers by role (see _buffer)
 
     # -- structure helpers --------------------------------------------------
 
@@ -308,6 +309,18 @@ class SuperMesh:
                                                  minlength=len(offsets))))
         return c
 
+    def _buffer(self, role, shape, dtype=complex):
+        """A mesh-owned array of the given shape for one backward role,
+        reused by every backward pass: a view into the role's flat storage,
+        which grows to the largest shape asked of it. Backward writes every
+        stack-sized intermediate into these and returns none of them, so a
+        forward cache never refers to one and each pass overwrites them."""
+        size = math.prod(shape)
+        store = self._workspace.get(role)
+        if store is None or store.size < size or store.dtype != dtype:
+            store = self._workspace[role] = np.empty(size, dtype=dtype)
+        return store[:size].reshape(shape)
+
     def _binarized_product(self, c):
         """The (B, K, K) product P~T of the cached parts (read-only). It is
         rebuilt when the P~ or T array it was formed from is replaced; those
@@ -356,11 +369,11 @@ class SuperMesh:
             t_eff = c["t_raw"]
             t_mats = _read_only(coupler_matrix(t_eff, k, c["offsets"]))
             pt_t = p_tildes @ t_mats
-        amats = pt_t * r[..., None, :]                     # (P, Q, B, K, K)
-        mats = amats   # every gate exactly (0, 1): the factors are A itself
-        if np.any(m_weights[:, 0] != 0.0) or np.any(m_weights[:, 1] != 1.0):
-            # gated factors m1 I + m2 A: scale A, then add m1 on the diagonals
-            mats = m_weights[:, 1, None, None] * amats
+        mats = pt_t * r[..., None, :]                      # (P, Q, B, K, K)
+        gated = bool(np.any(m_weights[:, 0] != 0.0) or np.any(m_weights[:, 1] != 1.0))
+        if gated:
+            # factors m1 I + m2 A: scale A in place, then add m1 on the diagonals
+            mats *= m_weights[:, 1, None, None]
             mats.reshape(mats.shape[:-2] + (k * k,))[..., ::k + 1] += \
                 m_weights[:, 0, None]
 
@@ -391,7 +404,7 @@ class SuperMesh:
                                                       self.q_tiles * k)
         cache = {"p_tildes": p_tildes, "p_cache": c["p_cache"],
                  "t_eff": t_eff, "t_mats": t_mats, "slots": c["slots"],
-                 "pt_t": pt_t, "r": r, "mats": mats, "amats": amats,
+                 "pt_t": pt_t, "r": r, "gated": gated,
                  "factors": factors, "partials": partials,
                  "u_norms": u_norms, "v_norms": v_norms, "u_n": u_n, "v_n": v_n,
                  "m": m_weights, "binarize": binarize}
@@ -423,51 +436,66 @@ class SuperMesh:
         # i, both chains at once; then every factor's cotangent in one matmul.
         factors, partials = cache["factors"], cache["partials"]
         length = factors.shape[3]
-        g_left = np.empty(partials[1:].shape, dtype=complex)  # (L, P, Q, 2, K, K)
+        g_left = self._buffer("left", partials[1:].shape)   # (L, P, Q, 2, K, K)
         g_left[-1, :, :, 0] = _normalize_backward(partials[-1, :, :, 0],
                                                   cache["u_norms"], g_un, axis=-1)
         g_left[-1, :, :, 1] = _normalize_backward(partials[-1, :, :, 1],
                                                   cache["v_norms"], sig * g_dv,
                                                   axis=-2)
-        # (one conjugate transpose per position: a transpose of the whole
-        # stack is one more stack-sized temporary, which cost the K=32 search
-        # more in page faults than it saved in calls)
+        factor_h = self._buffer("factor", factors.shape[:3] + (k, k))
         for i in range(length - 1, 0, -1):
-            np.matmul(_herm(factors[:, :, :, i]), g_left[i], out=g_left[i - 1])
-        g_factors = np.empty(factors.shape, dtype=complex)
-        np.matmul(g_left, _herm(partials[:-1]), out=np.moveaxis(g_factors, 3, 0))
-        # g_mats[p, q, b]: cotangent on block b's gated factor in tile (p, q)
-        amats = cache["amats"]
+            np.conjugate(factors[:, :, :, i], out=factor_h)
+            np.matmul(np.swapaxes(factor_h, -1, -2), g_left[i], out=g_left[i - 1])
+        partials_h = np.conjugate(partials[:-1],
+                                  out=self._buffer("operand", g_left.shape))
+        g_factors = self._buffer("factors", factors.shape)
+        np.matmul(g_left, np.swapaxes(partials_h, -1, -2),
+                  out=np.moveaxis(g_factors, 3, 0))
+        # g_mats[p, q, b]: cotangent on block b's gated factor in tile (p, q);
+        # g_left and partials_h are dead from here on, so their buffers are
+        # reused below
+        stack = factors.shape[:2] + (self.n_blocks, k, k)
         if self.n_u == self.n_v:
-            g_mats = g_factors.reshape(amats.shape)
+            g_mats = g_factors.reshape(stack)
         else:   # drop the padding
             g_mats = np.concatenate((g_factors[:, :, 0, length - self.n_u:],
                                      g_factors[:, :, 1, length - self.n_v:]),
-                                    axis=2)
+                                    axis=2, out=self._buffer("mats", stack))
 
+        r, pt_t = cache["r"], cache["pt_t"]
         g_m = None
         if not self.frozen.all():
+            amats = np.multiply(pt_t, r[..., None, :], out=self._buffer("left", stack))
+            prod = np.conjugate(g_mats, out=self._buffer("operand", stack))
+            prod *= amats
             g_m = np.stack([np.trace(g_mats, axis1=-2, axis2=-1).sum(axis=(0, 1)).real,
-                            np.sum((g_mats.conj() * amats).real, axis=(0, 1, 3, 4))],
+                            np.sum(prod.real, axis=(0, 1, 3, 4))],
                            axis=-1)
-        g_a = g_mats if cache["mats"] is amats else \
-            m_weights[:, 1, None, None] * g_mats
-        r = cache["r"]
-        g_r = np.einsum("...ij->...j", g_a * cache["pt_t"].conj())
+        g_a = g_mats
+        if cache["gated"]:
+            g_a = np.multiply(m_weights[:, 1, None, None], g_mats,
+                              out=self._buffer("left", stack))
+        prod = np.multiply(g_a, np.conjugate(pt_t, out=self._buffer("tiles", pt_t.shape)),
+                           out=self._buffer("operand", stack))
+        g_r = np.einsum("...ij->...j", prod)
         g_phi = (g_r.conj() * (-1j * r)).real
 
         g_p_raw = g_t_latent = None
         if self.perms_trainable or self.couplers_trainable:
             # the tile sum of g_A conj(r) carries every P~ and T cotangent
-            s = np.sum(g_a * r[..., None, :].conj(), axis=(0, 1))  # (B, K, K)
+            prod = np.multiply(g_a, r[..., None, :].conj(), out=prod)
+            s = np.sum(prod, axis=(0, 1), out=self._buffer("tiles", pt_t.shape))
         if self.perms_trainable:
-            g_ptilde = (s @ _herm(cache["t_mats"])).real
+            t_h = np.conjugate(cache["t_mats"], out=self._buffer("operand", s.shape))
+            g_ptilde = np.matmul(s, np.swapaxes(t_h, -1, -2),
+                                 out=self._buffer("factors", s.shape)).real
             if extra_ptilde is not None:
                 g_ptilde = g_ptilde + np.asarray(extra_ptilde)
             g_p_raw = reparametrize_backward(cache["p_cache"], g_ptilde)
 
         if self.couplers_trainable:
-            g_t_mat = np.swapaxes(cache["p_tildes"], -1, -2) @ s
+            g_t_mat = np.matmul(np.swapaxes(cache["p_tildes"], -1, -2), s,
+                                out=self._buffer("operand", s.shape))
             # collapse the coupler-column cotangents onto the slot transmissions
             blk, a = cache["slots"]
             t_eff = cache["t_eff"]

@@ -1,4 +1,5 @@
 """Versioned netlist documents: export/import of legalized topologies."""
+import dataclasses
 import hashlib
 import json
 import os
@@ -6,7 +7,7 @@ import tempfile
 
 from . import schema
 from .errors import ConfigError, DomainError
-from .pdk import PdkSpec, footprint_exact, load_pdk
+from .pdk import BUILTIN_PDKS, PdkSpec, footprint_exact, load_pdk
 from .schema import NETLIST_VERSION
 from .topology import TopoBlock, Topology
 
@@ -20,12 +21,20 @@ def _block_doc(block: TopoBlock) -> dict:
     }
 
 
+def _pdk_source(pdk: PdkSpec):
+    """The netlist's pdk field: a builtin's name, or any other PDK's document
+    itself, which load_pdk reads back without the file it came from."""
+    if BUILTIN_PDKS.get(pdk.name) == pdk:
+        return pdk.name
+    return dataclasses.asdict(pdk)
+
+
 def topology_to_doc(topology: Topology, pdk: PdkSpec, provenance=None) -> dict:
     n_cr, n_dc, n_blk = topology.device_counts()
     return {
         "version": NETLIST_VERSION,
         "k": topology.k,
-        "pdk": pdk.name,
+        "pdk": _pdk_source(pdk),
         "unitaries": {
             "u": [_block_doc(b) for b in topology.blocks_u],
             "v": [_block_doc(b) for b in topology.blocks_v],
@@ -60,13 +69,15 @@ def doc_to_topology(doc: dict) -> Topology:
                 raise ConfigError(f"{where}: {exc}") from None
         return blocks
 
-    topology = Topology(k=k, pdk_name=checked["pdk"],
-                        blocks_u=parse_blocks("u"), blocks_v=parse_blocks("v"))
+    blocks_u, blocks_v = parse_blocks("u"), parse_blocks("v")
+    pdk = load_pdk(checked["pdk"])
+    topology = Topology(k=k, pdk_name=pdk.name, blocks_u=blocks_u,
+                        blocks_v=blocks_v)
     fp = checked["footprint"]
     n_cr, n_dc, n_blk = topology.device_counts()
     if (fp["n_blocks"], fp["n_dc"], fp["n_cr"]) != (n_blk, n_dc, n_cr):
         raise ConfigError("netlist device counts do not match its blocks")
-    if fp["area_um2"] != footprint_exact(topology, load_pdk(checked["pdk"])):
+    if fp["area_um2"] != footprint_exact(topology, pdk):
         raise ConfigError("netlist footprint summary does not match its counts")
     return topology
 

@@ -225,6 +225,17 @@ def footprint_proxy(mesh, pdk: PdkSpec, penalty: PenaltyConfig):
     return value, ProxyGrads(d_keep, d_tq, d_ptilde)
 
 
+def footprint_coefficient(expected_exact: float, c: FootprintConstraint,
+                          penalty: PenaltyConfig) -> float:
+    """dL_F/d(proxy) of the probabilistic footprint penalty: it branches on
+    the exact expectation and is 0 inside [f_hat_min, f_hat_max]."""
+    if expected_exact > c.f_hat_max:
+        return penalty.beta / c.f_hat_max
+    if expected_exact < c.f_hat_min:
+        return -penalty.beta / c.f_hat_min
+    return 0.0
+
+
 def footprint_penalty(expected_prox: float, expected_exact: float,
                       c: FootprintConstraint, penalty: PenaltyConfig):
     """Probabilistic footprint penalty.
@@ -232,12 +243,7 @@ def footprint_penalty(expected_prox: float, expected_exact: float,
     Branches on the exact expectation, differentiates through the proxy.
     Returns (loss, dloss/dprox).
     """
-    if expected_exact > c.f_hat_max:
-        coeff = penalty.beta / c.f_hat_max
-    elif expected_exact < c.f_hat_min:
-        coeff = -penalty.beta / c.f_hat_min
-    else:
-        coeff = 0.0
+    coeff = footprint_coefficient(expected_exact, c, penalty)
     return coeff * expected_prox, coeff
 
 

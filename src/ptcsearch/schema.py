@@ -20,22 +20,24 @@ def _fail(path, need, value):
     raise ConfigError(f"{path} must be {need}, got {repr(value):.80}".lstrip())
 
 
-def _bounded(value, path, gt=None, ge=None, lt=None):
+def _bounded(value, path, gt=None, ge=None, lt=None, le=None):
     if gt is not None and not value > gt:
         _fail(path, "positive" if gt == 0 else f"> {gt}", value)
     if ge is not None and not value >= ge:
         _fail(path, "nonnegative" if ge == 0 else f">= {ge}", value)
     if lt is not None and not value < lt:
         _fail(path, f"< {lt}", value)
+    if le is not None and not value <= le:
+        _fail(path, f"<= {le}", value)
     return value
 
 
-def integer(ge=None):
-    """An int of at least ge: not a bool, nor a float such as 8.0 or 8.5."""
+def integer(ge=None, le=None):
+    """An int in [ge, le]: not a bool, nor a float such as 8.0 or 8.5."""
     def rule(value, path=""):
         if not isinstance(value, numbers.Integral) or isinstance(value, bool):
             _fail(path, "an integer", value)
-        return _bounded(int(value), path, ge=ge)
+        return _bounded(int(value), path, ge=ge, le=le)
     return rule
 
 
@@ -140,7 +142,10 @@ COUNT = integer(ge=0)
 PDK = {"name": text, "f_ps": POSITIVE, "f_dc": POSITIVE, "f_cr": POSITIVE}
 WINDOW = {"f_min": POSITIVE, "f_max": POSITIVE, "margin": NONNEGATIVE}
 PENALTY = {"beta": NONNEGATIVE, "beta_cr": NONNEGATIVE}
-SEARCH = {"k": integer(ge=2), "rho0": maybe(POSITIVE)}
+# one K x K complex matrix at K = 2**16 takes 64 GiB, so no larger K can run;
+# the bound also keeps K's area terms inside the float range
+MAX_K = 2 ** 16
+SEARCH = {"k": integer(ge=2, le=MAX_K), "rho0": maybe(POSITIVE)}
 SCHEDULE = {
     "warmup_epochs": COUNT, "spl_epoch": COUNT, "total_epochs": COUNT,
     "steps_per_epoch": integer(ge=1), "weight_arch_ratio": COUNT,
@@ -161,13 +166,20 @@ RUN_CONFIG = mapping(
      "schedule": mapping(SCHEDULE, optional=SCHEDULE), "task": TASK},
     optional=("rho0", "margin", "beta", "beta_cr", "schedule", "task"))
 PDK_DOC = mapping(PDK)
+
+
+def pdk_source(value, path=""):
+    """A builtin PDK name or a PDK file path, or a PDK document inline."""
+    return PDK_DOC(value, path) if isinstance(value, dict) else text(value, path)
+
+
 BLOCK = mapping({
     "ps": array("real"),
     "dc": mapping({"mask": array("integer", values={0, 1}), "offset": choice(0, 1)}),
     "cr": array("integer"),
 })
 NETLIST = mapping({
-    "version": choice(NETLIST_VERSION), "k": SEARCH["k"], "pdk": text,
+    "version": choice(NETLIST_VERSION), "k": SEARCH["k"], "pdk": pdk_source,
     "unitaries": mapping({"u": list_of(BLOCK), "v": list_of(BLOCK)}),
     "footprint": mapping({"n_blocks": COUNT, "n_dc": COUNT, "n_cr": COUNT,
                           "area_um2": NONNEGATIVE}),

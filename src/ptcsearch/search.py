@@ -21,8 +21,8 @@ from .pdk import (
     PenaltyConfig,
     block_bounds,
     block_footprint,
+    footprint_coefficient,
     footprint_expected,
-    footprint_penalty,
     footprint_proxy,
     load_pdk,
 )
@@ -177,23 +177,31 @@ def search_step(mesh: SuperMesh, task, phase: str, state: SearchState, rng,
 
     alm_val, extra_ptilde = 0.0, None
     if mesh.perms_trainable:
-        alm_val, alm_grads = alm_loss(cache["p_tildes"], state.alm)
+        alm_val, extra_ptilde = alm_loss(cache["p_tildes"], state.alm)
 
+    # inside the window the penalty's coefficient is 0, and so are its value
+    # and every cotangent it sends: the proxy is not evaluated
     exp_exact = footprint_expected(mesh, state.pdk)
-    prox_val, prox_grads = footprint_proxy(mesh, state.pdk, state.config.penalty)
-    lf_val, coeff = footprint_penalty(prox_val, exp_exact,
-                                      state.config.constraint,
-                                      state.config.penalty)
+    coeff = footprint_coefficient(exp_exact, state.config.constraint,
+                                  state.config.penalty)
+    lf_val, prox_grads = 0.0, None
+    if coeff != 0.0:
+        prox_val, prox_grads = footprint_proxy(mesh, state.pdk,
+                                               state.config.penalty)
+        lf_val = coeff * prox_val
     total = task_val + alm_val + lf_val
     if not math.isfinite(total):
         raise DivergenceError("non-finite search loss",
                               snapshot={"task": task_val, "alm": alm_val,
                                         "footprint": lf_val})
 
-    if mesh.perms_trainable:
-        extra_ptilde = alm_grads + coeff * prox_grads.d_ptilde
+    extra_tq = None
+    if prox_grads is not None:
+        extra_tq = coeff * prox_grads.d_tq
+        if mesh.perms_trainable:
+            extra_ptilde = extra_ptilde + coeff * prox_grads.d_ptilde
     grads = mesh.backward(cache, g_w, extra_ptilde=extra_ptilde,
-                          extra_tq=coeff * prox_grads.d_tq)
+                          extra_tq=extra_tq)
 
     if phase == "weights":
         lr = cosine_lr(state.schedule.lr, state.weight_step,
@@ -217,7 +225,8 @@ def search_step(mesh: SuperMesh, task, phase: str, state: SearchState, rng,
     elif phase == "arch":
         g_theta = np.zeros_like(mesh.theta) if grads.m is None else \
             gumbel_backward(m, state.tau, grads.m, frozen=mesh.frozen)
-        g_theta += mesh.keep_prob_theta_grad(coeff * prox_grads.d_keep)
+        if prox_grads is not None:
+            g_theta += mesh.keep_prob_theta_grad(coeff * prox_grads.d_keep)
         state.opt_arch.step([mesh.theta], [g_theta])
     else:
         raise ValueError(f"unknown phase '{phase}'")

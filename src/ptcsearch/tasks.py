@@ -140,6 +140,9 @@ def _split_dataset(features, labels, split, seed, n_classes, batch_size=32):
     n = features.shape[0]
     order = rng.permutation(n)
     n_train = int(round(split * n))
+    if not 0 < n_train < n:
+        side = "training" if n_train == 0 else "validation"
+        raise ConfigError(f"split {split} of {n} rows leaves no {side} rows")
     train, val = order[:n_train], order[n_train:]
     return ClassifyTask(features[train], labels[train],
                         features[val], labels[val],

@@ -114,10 +114,10 @@ def test_footprint_unknown_baseline_size(capsys):
 # ---------------------------------------------------------------------------
 # search / eval / report commands
 
-def _write_config(path, f_min=240_000.0, f_max=300_000.0):
+def _write_config(path, f_min=240_000.0, f_max=300_000.0, pdk="amf"):
     doc = {
         "k": 8,
-        "pdk": "amf",
+        "pdk": pdk,
         "f_min": f_min,
         "f_max": f_max,
         "schedule": {"warmup_epochs": 1, "spl_epoch": 2, "total_epochs": 4,
@@ -157,6 +157,43 @@ def test_search_command_deterministic(tmp_path, capsys):
         blobs.append(out.read_bytes())
     capsys.readouterr()
     assert blobs[0] == blobs[1]
+
+
+def test_custom_pdk_netlist_is_read_by_every_command(tmp_path, capsys):
+    # the PDK's name is neither a builtin nor its file's path, so the netlist
+    # carries the PDK document itself, and needs the file no more
+    pdk_doc = {"name": "custom", "f_ps": 6800.5, "f_dc": 1500.25, "f_cr": 64.0}
+    pdk_path = tmp_path / "custom.yaml"
+    pdk_path.write_text(yaml.safe_dump(pdk_doc))
+    config = tmp_path / "run.yaml"
+    _write_config(config, pdk=str(pdk_path))
+    net = tmp_path / "net.json"
+    assert main(["search", "--config", str(config), "--seed", "3",
+                 "--out", str(net)]) == 0
+    doc = read_netlist(net)
+    assert doc["pdk"] == pdk_doc
+    pdk_path.unlink()
+    capsys.readouterr()
+    assert main(["report", "--netlist", str(net), "--seed", "0"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["pdk"] == "custom"
+    assert rep["footprint_um2"] == doc["footprint"]["area_um2"]
+    assert main(["footprint", "--netlist", str(net), "--seed", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("netlist,8,amf,")
+    assert main(["eval", "--netlist", str(net), "--seed", "0", "--train-steps",
+                 "2", "--trials", "2", "--sigma-grid", "0"]) == 0
+    capsys.readouterr()
+
+
+def test_netlist_names_a_pdk_only_when_it_is_the_builtin():
+    topo = random_topology(8, 2, 2, np.random.default_rng(6))
+    assert topology_to_doc(topo, load_pdk("amf"))["pdk"] == "amf"
+    # a builtin's name with other areas is not that builtin
+    renamed = {"name": "amf", "f_ps": 1.0, "f_dc": 2.0, "f_cr": 3.0}
+    doc = topology_to_doc(topo, load_pdk(renamed))
+    assert doc["pdk"] == renamed
+    assert doc["footprint"]["area_um2"] == footprint_exact(topo, load_pdk(renamed))
+    assert doc_to_topology(json.loads(dumps_canonical(doc))).pdk_name == "amf"
 
 
 def test_search_command_infeasible_window(tmp_path, capsys):
@@ -212,14 +249,26 @@ MALFORMED_RUN_CONFIGS = {
     "beta.inf": {"beta": math.inf},
     "f_max.inf": {"f_max": math.inf},
     "pdk.list": {"pdk": [1]},
+    "k.huge": {"k": 10 ** 300},
+    "task.split_leaves_no_training_rows":
+        lambda tmp_path: {"task": _two_row_task(tmp_path, split=0.2)},
+    "task.split_leaves_no_validation_rows":
+        lambda tmp_path: {"task": _two_row_task(tmp_path, split=0.8)},
 }
+
+
+def _two_row_task(tmp_path, split):
+    data = tmp_path / "two-rows.csv"
+    data.write_text("f0,f1,label\n0.1,0.2,0\n0.3,0.4,1\n")
+    return {"kind": "classify", "path": str(data), "split": split}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_RUN_CONFIGS))
 def test_malformed_run_config_gives_json_error(tmp_path, capsys, monkeypatch, case):
     doc = {"k": 8, "pdk": "amf", "f_min": 240_000.0, "f_max": 300_000.0,
            "schedule": TINY_SCHEDULE}
-    doc.update(MALFORMED_RUN_CONFIGS[case])
+    edit = MALFORMED_RUN_CONFIGS[case]
+    doc.update(edit(tmp_path) if callable(edit) else edit)
     config = tmp_path / "run.yaml"
     config.write_text(yaml.safe_dump(doc))
     monkeypatch.setattr(search_module, "search_step", _no_training)

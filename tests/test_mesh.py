@@ -734,3 +734,57 @@ def test_structure_cache_entries_are_read_only():
     for key in STRUCTURE_KEYS:
         with pytest.raises(ValueError):
             cache[key][0, 0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# the backward workspace: mesh-owned buffers every backward pass reuses
+
+def _workspace_pass(n_u, n_v, seed):
+    """A gated multi-tile mesh, its task, gates and first forward cache."""
+    mesh, task = _fd_mesh(k=8, n_u=n_u, n_v=n_v, m_rows=12, n_cols=20, seed=seed)
+    gates = sample_gates(mesh, 1.0, np.random.default_rng(seed + 1))
+    w, cache = mesh.forward(gates)
+    return mesh, task, gates, cache, task.loss_and_grad(w)[1]
+
+
+GRAD_FIELDS = ("phi", "sigma", "t_latent", "p_raw", "m")
+
+
+@pytest.mark.parametrize("extra", [False, True])
+@pytest.mark.parametrize("n_u, n_v", [(2, 2), (3, 1)])
+def test_backward_returns_no_workspace_memory(n_u, n_v, extra):
+    mesh, _, _, cache, g_w = _workspace_pass(n_u, n_v, seed=40)
+    rng = np.random.default_rng(41)
+    kwargs = {}
+    if extra:
+        kwargs = {"extra_ptilde": rng.normal(size=mesh.p_raw.shape),
+                  "extra_tq": rng.normal(size=mesh.t_flat.shape)}
+    for _ in range(2):   # the second pass reuses the buffers of the first
+        grads = mesh.backward(cache, g_w, **kwargs)
+    buffers = list(mesh._workspace.values())
+    assert buffers
+    for name in GRAD_FIELDS:
+        got = getattr(grads, name)
+        assert got is not None
+        assert not any(np.shares_memory(got, buf) for buf in buffers), name
+    for value in cache.values():
+        if isinstance(value, np.ndarray):
+            assert not any(np.shares_memory(value, buf) for buf in buffers)
+
+
+@pytest.mark.parametrize("n_u, n_v", [(2, 2), (3, 1)])
+def test_backward_on_an_older_cache_returns_its_earlier_gradients(n_u, n_v):
+    mesh, task, gates, cache, g_w = _workspace_pass(n_u, n_v, seed=42)
+    first = mesh.backward(cache, g_w)
+    held = {name: getattr(first, name).copy() for name in GRAD_FIELDS}
+    # a newer forward and backward, with the phases and both structure parts
+    # changed, so the structure cache is rebuilt
+    mesh.phi += 0.3
+    mesh.t_flat[0] = -mesh.t_flat[0]
+    mesh.p_raw[0] += 0.01
+    w, newer = mesh.forward(gates)
+    mesh.backward(newer, task.loss_and_grad(w)[1])
+    again = mesh.backward(cache, g_w)
+    for name in GRAD_FIELDS:
+        assert np.array_equal(getattr(first, name), held[name])
+        assert np.array_equal(getattr(again, name), held[name])

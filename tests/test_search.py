@@ -17,6 +17,7 @@ from ptcsearch import (
     SuperMesh,
     expected_keep_prob,
     footprint_exact,
+    footprint_expected,
     load_pdk,
     run_search,
 )
@@ -285,6 +286,56 @@ def test_post_spl_step_skips_the_proxy_permutation_cotangent(monkeypatch, phase)
                  (mesh.theta, twin.theta), (mesh.p_raw, twin.p_raw)):
         assert np.array_equal(a, b)
     assert all(np.array_equal(a, b) for a, b in zip(mesh.t_latent, twin.t_latent))
+
+
+class _ZeroThatEvaluates(float):
+    """A penalty coefficient of 0 that compares unequal to 0, so search_step
+    evaluates the proxy and scales its value and cotangents by 0."""
+
+    def __eq__(self, other):
+        return False
+
+    def __ne__(self, other):
+        return True
+
+    __hash__ = float.__hash__
+
+
+@pytest.mark.parametrize("legal", [False, True])
+@pytest.mark.parametrize("phase", ["weights", "arch"])
+def test_inactive_penalty_step_matches_one_that_evaluates_the_proxy(
+        monkeypatch, phase, legal):
+    # inside the window the coefficient is 0: the step skips the proxy, and
+    # logs and updates exactly as a step that evaluates it and scales by 0
+    mesh, state, task = _small_setup()
+    if legal:
+        legalize_mesh(mesh, np.random.default_rng(4))
+    expected = footprint_expected(mesh, state.pdk)
+    state.config = SearchConfig(
+        k=mesh.k, pdk=state.pdk, penalty=PenaltyConfig(),
+        constraint=FootprintConstraint(0.9 * expected, 1.1 * expected))
+    twin, twin_state = copy.deepcopy(mesh), copy.deepcopy(state)
+    proxy, coefficient = search_module.footprint_proxy, search_module.footprint_coefficient
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return proxy(*args, **kwargs)
+
+    monkeypatch.setattr(search_module, "footprint_proxy", counted)
+    record = search_step(mesh, task, phase, state, np.random.default_rng(5))
+    assert calls == [] and record["footprint"] == 0.0
+    monkeypatch.setattr(search_module, "footprint_coefficient",
+                        lambda *args: _ZeroThatEvaluates(coefficient(*args)))
+    twin_record = search_step(twin, task, phase, twin_state,
+                              np.random.default_rng(5))
+    assert len(calls) == 1
+    assert record == twin_record
+    for a, b in ((mesh.phi, twin.phi), (mesh.sigma, twin.sigma),
+                 (mesh.theta, twin.theta), (mesh.p_raw, twin.p_raw),
+                 (mesh.t_flat, twin.t_flat),
+                 (state.alm.lambda_row, twin_state.alm.lambda_row)):
+        assert np.array_equal(a, b)
 
 
 def test_struct_optimizer_must_restart_when_spl_freezes_permutations():

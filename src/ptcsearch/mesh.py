@@ -80,6 +80,45 @@ def coupler_matrix(t_flat, k: int, offsets) -> np.ndarray:
     return mat.reshape(n_blocks, k, k)
 
 
+# Every column j of a coupler column T has at most two nonzeros: the diagonal
+# T[j, j] = t_j and the partner entry T[p(j), j] = i c_j, where p swaps the two
+# waveguides of a coupler slot (c_j = sqrt(1 - t_j^2)) and an unpaired
+# waveguide is its own partner with c_j = 0. The engine forms every product
+# with T from these two entries.
+
+@functools.lru_cache(maxsize=64)
+def _partner_index(k: int, offsets: tuple):
+    """Flat gather index of the partner columns of a (B, K, K) stack: entry
+    (b, i, j) holds the flat position of (b, i, p_b(j)). Memoized on
+    (k, offsets) like _slot_index; read-only."""
+    blk, a = _slot_index(k, offsets)
+    n_blocks = len(offsets)
+    partner = np.tile(np.arange(k), (n_blocks, 1))
+    partner[blk, a] = a + 1
+    partner[blk, a + 1] = a
+    rows = np.arange(n_blocks)[:, None, None] * k + np.arange(k)[:, None]
+    return _read_only(rows * k + partner[:, None, :])
+
+
+def _column_entries(t_mats):
+    """The two nonzeros of every column of a coupler-column stack, as real
+    (B, K) arrays: the diagonal t_j, and c_j of the partner entry i c_j. As
+    coupler_matrix builds it, c_j = sqrt(1 - t_j^2), which is 0 on an
+    unpaired waveguide (t_j = 1)."""
+    diag = np.diagonal(t_mats, axis1=-2, axis2=-1).real
+    return diag, np.sqrt(np.maximum(1.0 - diag ** 2, 0.0))
+
+
+def _two_entry_product(p_tildes, diag, cross, partner):
+    """P~T column by column, (P~T)[:, j] = P~[:, j] t_j + i P~[:, p(j)] c_j.
+    Returns P~T and the gathered partner columns P~[:, p(j)]."""
+    p_partner = np.take(p_tildes, partner)
+    pt_t = np.empty(p_tildes.shape, dtype=complex)
+    np.multiply(p_tildes, diag[:, None, :], out=pt_t.real)
+    np.multiply(p_partner, cross[:, None, :], out=pt_t.imag)
+    return pt_t, p_partner
+
+
 # ---------------------------------------------------------------------------
 # array helpers
 
@@ -188,7 +227,7 @@ class SuperMesh:
         self.perms_trainable = True
         self.couplers_trainable = True
         self._structure = {}
-        self._workspace = {}    # backward buffers by role (see _buffer)
+        self._workspace = {}    # backward buffers by factor-stack shape
 
     # -- structure helpers --------------------------------------------------
 
@@ -285,9 +324,10 @@ class SuperMesh:
 
     def _coupler_structure(self):
         """The T part, keyed on the t_flat values and the offsets: the
-        (B, K, K) coupler columns T of the binarized transmissions, the flat
-        slot index, the binarized transmissions and the discrete coupler
-        counts. Returns the cache dict.
+        (B, K, K) coupler columns T of the binarized transmissions and the
+        two nonzeros of each of their columns, the flat slot and partner
+        indices, the binarized transmissions and the discrete coupler counts.
+        Returns the cache dict.
 
         The key is the latents themselves, not their binarized values, so
         during a search T is rebuilt after every coupler update rather than
@@ -301,50 +341,86 @@ class SuperMesh:
             t_raw = self.t_flat.astype(float)
             t_q = quantize_coupler(t_raw)
             t_mats = coupler_matrix(t_q, self.k, offsets)
+            diag, cross = _column_entries(t_mats)
             blk, a = _slot_index(self.k, tuple(offsets))
             c.update(offsets=offsets, t_raw=_read_only(t_raw),
                      t_q=_read_only(t_q), t_mats=_read_only(t_mats),
-                     slots=(blk, a),
+                     t_cols=(_read_only(diag), _read_only(cross)),
+                     slots=(blk, a), partner=_partner_index(self.k, tuple(offsets)),
                      n_dc=_read_only(np.bincount(blk[t_raw < 0.0],
                                                  minlength=len(offsets))))
         return c
 
-    def _buffer(self, role, shape, dtype=complex):
-        """A mesh-owned array of the given shape for one backward role,
-        reused by every backward pass: a view into the role's flat storage,
-        which grows to the largest shape asked of it. Backward writes every
-        stack-sized intermediate into these and returns none of them, so a
-        forward cache never refers to one and each pass overwrites them."""
-        size = math.prod(shape)
-        store = self._workspace.get(role)
-        if store is None or store.size < size or store.dtype != dtype:
-            store = self._workspace[role] = np.empty(size, dtype=dtype)
-        return store[:size].reshape(shape)
+    def _backward_workspace(self, factors_shape):
+        """The backward pass's stack-sized buffers for a (P, Q, 2, L, K, K)
+        factor stack, made on the first pass with that shape and reused by
+        every later one. Backward writes its intermediates into these and
+        returns none of them, so a forward cache never refers to one; two
+        backward passes of one mesh must not run at the same time.
+
+        Arrays whose lifetimes do not overlap share memory: "chain" holds
+        g_left, then g_mats of unequal chains, then the tile sum S; "operand"
+        the conjugated partials, then each per-pass product; "factors"
+        g_factors (and g_mats, a view of it when n_u == n_v), then S[:, p].
+        """
+        ws = self._workspace.get(factors_shape)
+        if ws is None:
+            p, q, _, length, k, _ = factors_shape
+            b = self.n_blocks
+            position = (length, p, q, 2, k, k)
+            stack = (p, q, b, k, k)
+            chain = np.empty(max(math.prod(position), math.prod(stack)), dtype=complex)
+            operand = np.empty(chain.shape, dtype=complex)
+            g_factors = np.empty(factors_shape, dtype=complex)
+            ws = self._workspace[factors_shape] = {
+                "g_left": chain[:math.prod(position)].reshape(position),
+                "g_mats": chain[:math.prod(stack)].reshape(stack),
+                "s": chain[:b * k * k].reshape(b, k, k),
+                "factor_h": np.empty((p, q, 2, k, k), dtype=complex),
+                "partials_h": operand[:math.prod(position)].reshape(position),
+                "prod": operand[:math.prod(stack)].reshape(stack),
+                "g_factors": g_factors,
+                "g_factors_by_position": g_factors.transpose(3, 0, 1, 2, 4, 5),
+                "s_partner": g_factors.reshape(-1)[:b * k * k].reshape(b, k, k),
+                "g_ptilde": np.empty((b, k, k)),
+            }
+        return ws
 
     def _binarized_product(self, c):
-        """The (B, K, K) product P~T of the cached parts (read-only). It is
-        rebuilt when the P~ or T array it was formed from is replaced; those
-        are never written, so an identity check is enough."""
+        """The (B, K, K) product P~T of the cached parts, its conjugate and
+        the partner columns P~[:, p(j)] (read-only). They are rebuilt when the
+        P~ or T array they were formed from is replaced; those are never
+        written, so an identity check is enough."""
         p_tildes, t_mats = c["p_tildes"], c["t_mats"]
         formed_from = c.get("pt_t_of", (None, None))
         if formed_from[0] is not p_tildes or formed_from[1] is not t_mats:
-            c.update(pt_t=_read_only(p_tildes @ t_mats),
+            pt_t, p_partner = _two_entry_product(p_tildes, *c["t_cols"],
+                                                 c["partner"])
+            c.update(pt_t=_read_only(pt_t), pt_conj=_read_only(pt_t.conj()),
+                     p_partner=_read_only(p_partner),
                      pt_t_of=(p_tildes, t_mats))
-        return c["pt_t"]
+        return c["pt_t"], c["pt_conj"], c["p_partner"]
 
     # -- forward / backward -------------------------------------------------
     #
     # All P x Q tiles and all B blocks run at once. The block structure cache
-    # gives P~T, and every block transfer is formed as one stack
-    # A[p, q, b] = (P~_b T_b) * r[p, q, b][None, :] with r = exp(-j phi).
+    # gives P~T, formed from the two nonzeros of each T column, and every
+    # block transfer is formed as one stack
+    # A[p, q, b] = (P~_b T_b) * r[p, q, b][None, :] with r = exp(-j phi);
+    # gated factors m1 I + m2 A are written over A in place.
     # The U and V chains run as one loop over L = max(n_u, n_v) positions of
     # (P, Q, 2, K, K) factors, U at index 0 and V at index 1; the shorter
     # chain is front-padded with identities (I @ I is exact, so no product
     # changes). That loop and the backward's cotangent recurrence make one
     # matmul per position for both chains; every block's cotangent is then
     # formed by one batched matmul, and every per-block reduction after it by
-    # one batched expression. Frozen groups (perms_trainable or
-    # couplers_trainable false, every gate frozen) get no cotangent at all.
+    # one batched expression: the phase and gate cotangents from one column
+    # sum, the P~ and coupler cotangents from the tile sum S and the two
+    # nonzeros of each T column. The backward writes every stack-sized
+    # intermediate into mesh-owned buffers (_backward_workspace) and returns
+    # none of them, so it allocates no stack per pass and a forward cache
+    # stays valid. Frozen groups (perms_trainable or couplers_trainable
+    # false, every gate frozen) get no cotangent at all.
 
     def forward(self, m_weights, binarize=True, phi_noise=None):
         """Assemble the full complex weight matrix.
@@ -353,8 +429,8 @@ class SuperMesh:
         phi_noise: optional array broadcastable to phi, added to the phases.
         Returns (W, cache); cache["p_tildes"] holds the (B, K, K) relaxed
         permutations for the step's ALM term. The structure entries
-        (p_tildes, p_cache, t_eff, t_mats, slots, and pt_t when binarized)
-        are read-only.
+        (p_tildes, p_cache, t_eff, t_mats, t_cols, slots, partner, and pt_t,
+        pt_conj and p_partner when binarized) are read-only.
         """
         k = self.k
         m_weights = np.asarray(m_weights)
@@ -363,12 +439,15 @@ class SuperMesh:
         c = self._perm_structure()
         self._coupler_structure()
         p_tildes, t_eff, t_mats = c["p_tildes"], c["t_q"], c["t_mats"]
+        t_cols = c["t_cols"]
         if binarize:
-            pt_t = self._binarized_product(c)              # (B, K, K)
+            pt_t, pt_conj, p_partner = self._binarized_product(c)  # (B, K, K)
         else:   # raw-latent columns and their product, formed here, not cached
             t_eff = c["t_raw"]
             t_mats = _read_only(coupler_matrix(t_eff, k, c["offsets"]))
-            pt_t = p_tildes @ t_mats
+            t_cols = _column_entries(t_mats)
+            pt_t, p_partner = _two_entry_product(p_tildes, *t_cols, c["partner"])
+            pt_conj = pt_t.conj()
         mats = pt_t * r[..., None, :]                      # (P, Q, B, K, K)
         gated = bool(np.any(m_weights[:, 0] != 0.0) or np.any(m_weights[:, 1] != 1.0))
         if gated:
@@ -403,8 +482,10 @@ class SuperMesh:
         w_pad = w_tiles.transpose(0, 2, 1, 3).reshape(self.p_tiles * k,
                                                       self.q_tiles * k)
         cache = {"p_tildes": p_tildes, "p_cache": c["p_cache"],
-                 "t_eff": t_eff, "t_mats": t_mats, "slots": c["slots"],
-                 "pt_t": pt_t, "r": r, "gated": gated,
+                 "t_eff": t_eff, "t_mats": t_mats, "t_cols": t_cols,
+                 "slots": c["slots"], "partner": c["partner"],
+                 "pt_t": pt_t, "pt_conj": pt_conj, "p_partner": p_partner,
+                 "r": r, "gated": gated,
                  "factors": factors, "partials": partials,
                  "u_norms": u_norms, "v_norms": v_norms, "u_n": u_n, "v_n": v_n,
                  "m": m_weights, "binarize": binarize}
@@ -436,74 +517,78 @@ class SuperMesh:
         # i, both chains at once; then every factor's cotangent in one matmul.
         factors, partials = cache["factors"], cache["partials"]
         length = factors.shape[3]
-        g_left = self._buffer("left", partials[1:].shape)   # (L, P, Q, 2, K, K)
+        ws = self._backward_workspace(factors.shape)
+        g_left = ws["g_left"]                               # (L, P, Q, 2, K, K)
         g_left[-1, :, :, 0] = _normalize_backward(partials[-1, :, :, 0],
                                                   cache["u_norms"], g_un, axis=-1)
         g_left[-1, :, :, 1] = _normalize_backward(partials[-1, :, :, 1],
                                                   cache["v_norms"], sig * g_dv,
                                                   axis=-2)
-        factor_h = self._buffer("factor", factors.shape[:3] + (k, k))
+        factor_h = ws["factor_h"]
         for i in range(length - 1, 0, -1):
             np.conjugate(factors[:, :, :, i], out=factor_h)
             np.matmul(np.swapaxes(factor_h, -1, -2), g_left[i], out=g_left[i - 1])
-        partials_h = np.conjugate(partials[:-1],
-                                  out=self._buffer("operand", g_left.shape))
-        g_factors = self._buffer("factors", factors.shape)
+        partials_h = np.conjugate(partials[:-1], out=ws["partials_h"])
         np.matmul(g_left, np.swapaxes(partials_h, -1, -2),
-                  out=np.moveaxis(g_factors, 3, 0))
+                  out=ws["g_factors_by_position"])
+        g_factors = ws["g_factors"]
         # g_mats[p, q, b]: cotangent on block b's gated factor in tile (p, q);
-        # g_left and partials_h are dead from here on, so their buffers are
-        # reused below
+        # g_left and partials_h are dead from here on
         stack = factors.shape[:2] + (self.n_blocks, k, k)
         if self.n_u == self.n_v:
             g_mats = g_factors.reshape(stack)
         else:   # drop the padding
             g_mats = np.concatenate((g_factors[:, :, 0, length - self.n_u:],
                                      g_factors[:, :, 1, length - self.n_v:]),
-                                    axis=2, out=self._buffer("mats", stack))
+                                    axis=2, out=ws["g_mats"])
 
-        r, pt_t = cache["r"], cache["pt_t"]
+        # the column sums G[p, q, b, j] = sum_i g_mats[i, j] conj(P~T[i, j])
+        # give every phase and gate cotangent: g_r = m2 G, and the m2
+        # cotangent sum_ij conj(g_mats) A = sum_j r_j conj(G_j)
+        r = cache["r"]
+        prod = np.multiply(g_mats, cache["pt_conj"], out=ws["prod"])
+        g_col = np.einsum("...ij->...j", prod)             # (P, Q, B, K)
         g_m = None
         if not self.frozen.all():
-            amats = np.multiply(pt_t, r[..., None, :], out=self._buffer("left", stack))
-            prod = np.conjugate(g_mats, out=self._buffer("operand", stack))
-            prod *= amats
             g_m = np.stack([np.trace(g_mats, axis1=-2, axis2=-1).sum(axis=(0, 1)).real,
-                            np.sum(prod.real, axis=(0, 1, 3, 4))],
+                            np.sum((r * g_col.conj()).real, axis=(0, 1, 3))],
                            axis=-1)
-        g_a = g_mats
-        if cache["gated"]:
-            g_a = np.multiply(m_weights[:, 1, None, None], g_mats,
-                              out=self._buffer("left", stack))
-        prod = np.multiply(g_a, np.conjugate(pt_t, out=self._buffer("tiles", pt_t.shape)),
-                           out=self._buffer("operand", stack))
-        g_r = np.einsum("...ij->...j", prod)
+        gated = cache["gated"]
+        g_r = g_col * m_weights[:, 1, None] if gated else g_col
         g_phi = (g_r.conj() * (-1j * r)).real
 
         g_p_raw = g_t_latent = None
         if self.perms_trainable or self.couplers_trainable:
-            # the tile sum of g_A conj(r) carries every P~ and T cotangent
-            prod = np.multiply(g_a, r[..., None, :].conj(), out=prod)
-            s = np.sum(prod, axis=(0, 1), out=self._buffer("tiles", pt_t.shape))
+            # the tile sum S = sum_pq g_A conj(r) carries every P~ and T
+            # cotangent; g_A = m2 g_mats, and m2 is the same in every tile
+            np.multiply(g_mats, r.conj()[..., None, :], out=prod)
+            s = np.sum(prod, axis=(0, 1), out=ws["s"])
+            if gated:
+                s *= m_weights[:, 1, None, None]
         if self.perms_trainable:
-            t_h = np.conjugate(cache["t_mats"], out=self._buffer("operand", s.shape))
-            g_ptilde = np.matmul(s, np.swapaxes(t_h, -1, -2),
-                                 out=self._buffer("factors", s.shape)).real
+            # g_P~ = Re(S T^H) = Re(S) t + Im(S[:, p]) c, column by column
+            t_diag, t_cross = cache["t_cols"]
+            s_partner = np.take(s, cache["partner"], mode="clip",
+                                out=ws["s_partner"])
+            g_ptilde = np.multiply(s.real, t_diag[:, None, :], out=ws["g_ptilde"])
+            s_partner.imag *= t_cross[:, None, :]
+            g_ptilde += s_partner.imag
             if extra_ptilde is not None:
-                g_ptilde = g_ptilde + np.asarray(extra_ptilde)
+                g_ptilde += extra_ptilde
             g_p_raw = reparametrize_backward(cache["p_cache"], g_ptilde)
 
         if self.couplers_trainable:
-            g_t_mat = np.matmul(np.swapaxes(cache["p_tildes"], -1, -2), s,
-                                out=self._buffer("operand", s.shape))
-            # collapse the coupler-column cotangents onto the slot transmissions
+            # a slot (a, a + 1) reads four entries of g_T = P~^T S, the column
+            # dots sum_i P~[i, x] S[i, y] at y = x (real parts) and at
+            # y = p(x) (imaginary parts)
+            g_diag = np.einsum("bij,bij->bj", cache["p_tildes"], s.real)
+            g_cross = np.einsum("bij,bij->bj", cache["p_partner"], s.imag)
             blk, a = cache["slots"]
             t_eff = cache["t_eff"]
             cross = np.sqrt(np.maximum(1.0 - t_eff ** 2, 0.0))
             dcross = -t_eff / np.maximum(cross, 1e-12)
-            g_tq = (g_t_mat[blk, a, a].real + g_t_mat[blk, a + 1, a + 1].real
-                    + dcross * (g_t_mat[blk, a, a + 1].imag
-                                + g_t_mat[blk, a + 1, a].imag))
+            g_tq = (g_diag[blk, a] + g_diag[blk, a + 1]
+                    + dcross * (g_cross[blk, a] + g_cross[blk, a + 1]))
             if extra_tq is not None:
                 g_tq = g_tq + extra_tq
             g_t_latent = quantize_coupler_grad(g_tq) if cache["binarize"] \

@@ -56,15 +56,17 @@ def reparametrize(p_raw: np.ndarray, epsilon: float = 0.05):
 
 
 def reparametrize_backward(cache, g_tilde: np.ndarray) -> np.ndarray:
-    """Backward pass of reparametrize; returns the gradient w.r.t. p_raw."""
-    g2 = np.where(cache["rounded"][..., None], 0.0, g_tilde)
+    """Backward pass of reparametrize; returns the gradient w.r.t. p_raw.
+    One array carries the cotangent through every stage, updated in place."""
+    g = np.where(cache["rounded"][..., None], 0.0, g_tilde)
     # row normalization: p2 = p1 / row_sums
-    inner_r = np.sum(g2 * cache["p2"], axis=-1, keepdims=True)
-    g1 = (g2 - inner_r) / cache["row_sums"]
+    g -= np.sum(g * cache["p2"], axis=-1, keepdims=True)
+    g /= cache["row_sums"]
     # column normalization: p1 = a / col_sums
-    inner_c = np.sum(g1 * cache["p1"], axis=-2, keepdims=True)
-    ga = (g1 - inner_c) / cache["col_sums"]
-    return ga * cache["sign"]
+    g -= np.sum(g * cache["p1"], axis=-2, keepdims=True)
+    g /= cache["col_sums"]
+    g *= cache["sign"]
+    return g
 
 
 def _l1_l2_gaps(p_tilde: np.ndarray):

@@ -1,5 +1,6 @@
 """Forward model layers, composition, tiling, and analytic gradients."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -761,7 +762,7 @@ def test_backward_returns_no_workspace_memory(n_u, n_v, extra):
                   "extra_tq": rng.normal(size=mesh.t_flat.shape)}
     for _ in range(2):   # the second pass reuses the buffers of the first
         grads = mesh.backward(cache, g_w, **kwargs)
-    buffers = list(mesh._workspace.values())
+    buffers = [buf for ws in mesh._workspace.values() for buf in ws.values()]
     assert buffers
     for name in GRAD_FIELDS:
         got = getattr(grads, name)
@@ -788,3 +789,87 @@ def test_backward_on_an_older_cache_returns_its_earlier_gradients(n_u, n_v):
     for name in GRAD_FIELDS:
         assert np.array_equal(getattr(first, name), held[name])
         assert np.array_equal(getattr(again, name), held[name])
+
+
+def test_warm_k32_backward_peak_is_under_three_stacks():
+    # search_k32 shapes: a warm backward writes its stack-sized arrays into
+    # the workspace, so its transient peak (returned gradients included)
+    # stays under 2.5 stack sizes, one stack being a (P, Q, B, K, K)
+    # complex array
+    rng = np.random.default_rng(50)
+    k = 32
+    mesh = SuperMesh(k, 6, 6, n_frozen_u=3, n_frozen_v=3, rng=rng)
+    mesh.theta = rng.normal(size=mesh.theta.shape)
+    gates = sample_gates(mesh, 1.0, rng)
+    _, cache = mesh.forward(gates)
+    g_w = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    extra = {"extra_ptilde": rng.normal(size=mesh.p_raw.shape),
+             "extra_tq": rng.normal(size=mesh.t_flat.shape)}
+    mesh.backward(cache, g_w, **extra)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        grads = mesh.backward(cache, g_w, **extra)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert grads.m is not None and grads.p_raw is not None
+    stack = mesh.p_tiles * mesh.q_tiles * mesh.n_blocks * k * k * 16
+    assert peak < 2.5 * stack, peak / stack
+
+
+# ---------------------------------------------------------------------------
+# the two nonzeros of each coupler column: P~T and every structure cotangent
+# are formed from them, including where a waveguide has no coupler partner
+
+def _odd_k_unequal_mesh(seed):
+    """K=7, so each offset leaves one waveguide unpaired; chains of 3 and 1
+    blocks over a 10 x 12 weight (2 x 2 tiles)."""
+    mesh, task = _fd_mesh(k=7, n_u=3, n_v=1, m_rows=10, n_cols=12, seed=seed)
+    return mesh, task
+
+
+def _offset_one_topology_mesh(seed):
+    """A from_topology mesh at K=8 with every block at offset 1 (waveguides
+    0 and 7 unpaired), made trainable again: free gates, and couplers and
+    permutations moved off their non-smooth points."""
+    rng = np.random.default_rng(seed)
+    k = 8
+    blocks = [TopoBlock(phases=rng.uniform(-np.pi, np.pi, k),
+                        coupler_mask=rng.uniform(size=3) < 0.5, offset=1,
+                        perm=rng.permutation(k)) for _ in range(4)]
+    topology = Topology(k=k, pdk_name="amf", blocks_u=blocks[:2],
+                        blocks_v=blocks[2:])
+    mesh = SuperMesh.from_topology(topology, m_rows=8, n_cols=12, rng=rng)
+    mesh.perms_trainable = mesh.couplers_trainable = True
+    mesh.frozen[:] = False
+    mesh.t_flat *= rng.uniform(0.2, 0.9, mesh.t_flat.shape)
+    mesh.p_raw = 0.3 * mesh.p_raw + rng.uniform(0.0, 0.2, mesh.p_raw.shape)
+    task = MatrixFitTask(0.3 * (rng.normal(size=(8, 12))
+                                + 1j * rng.normal(size=(8, 12))))
+    return mesh, task
+
+
+@pytest.mark.parametrize("make", [_odd_k_unequal_mesh, _offset_one_topology_mesh])
+def test_two_entry_columns_match_oracle_and_fd(make):
+    mesh, task = make(seed=60)
+    gates = sample_gates(mesh, 1.0, np.random.default_rng(61))
+    for binarize in (True, False):
+        w, cache = mesh.forward(gates, binarize=binarize)
+        np.testing.assert_allclose(cache["pt_t"], cache["p_tildes"] @ cache["t_mats"],
+                                   rtol=0.0, atol=1e-15)
+        oracle = weight_partition_oracle(mesh, gates, binarize=binarize).assemble()
+        np.testing.assert_allclose(w, oracle, rtol=0.0, atol=1e-12)
+    grads = mesh.backward(cache, task.loss_and_grad(w)[1])
+
+    def value():
+        return _task_value(mesh, task, gates)
+
+    rng = np.random.default_rng(62)
+    checks = [(mesh.phi, grads.phi), (mesh.sigma, grads.sigma),
+              (mesh.p_raw, grads.p_raw), (mesh.t_flat, grads.t_latent),
+              (gates, grads.m)]
+    for param, analytic in checks:
+        coords = rng.choice(param.size, size=min(30, param.size), replace=False)
+        for a, n, rel in fd_check(value, param, analytic, coords):
+            assert rel < 1e-4, (a, n, rel)

@@ -14,7 +14,6 @@ from .errors import (
 from .mesh import (
     MeshGrads,
     SuperMesh,
-    WeightPartition,
     certainty_gates,
     expected_keep_prob,
     quantize_coupler,
@@ -60,7 +59,6 @@ from .tasks import (
     inject_phase_noise,
     load_dataset,
     robustness_sweep,
-    task_loss,
     variation_aware_train,
 )
 from .topology import TopoBlock, Topology

@@ -48,8 +48,8 @@ def quantize_coupler_grad(g_tq):
 def _slot_index(k: int, offsets: tuple):
     """Flat coupler-slot indices of a column stack: for every slot of every
     block, its block b and its first waveguide a (the pair is a, a + 1).
-    Memoized on (k, offsets), so a T build and its coupler_matrix call share
-    one index; the arrays are read-only."""
+    Memoized on (k, offsets), so every coupler_matrix call and the partner
+    index of one layout share one index; the arrays are read-only."""
     offsets = np.asarray(offsets, dtype=int)
     counts = (k - offsets) // 2
     blk = np.repeat(np.arange(offsets.shape[0]), counts)
@@ -58,33 +58,27 @@ def _slot_index(k: int, offsets: tuple):
     return _read_only(blk), _read_only(a)
 
 
-def coupler_matrix(t_flat, k: int, offsets) -> np.ndarray:
-    """(B, K, K) stack of block-diagonal coupler columns, block b starting at
-    waveguide offsets[b]. t_flat holds the slot transmissions of all blocks,
-    block after block; the stack is built by one scatter over the flat slot
-    indices."""
+# Every column j of a coupler column T has at most two nonzeros: the diagonal
+# T[j, j] = t_j and the partner entry T[p(j), j] = i c_j, where p swaps the two
+# waveguides of a coupler slot (c_j = sqrt(1 - t_j^2)) and an unpaired
+# waveguide is its own partner with c_j = 0. The engine builds T as these two
+# entries and forms every product with T from them.
+
+def coupler_matrix(t_flat, k: int, offsets):
+    """The two nonzeros of every column of a stack of coupler columns, block
+    b starting at waveguide offsets[b], as real (B, K) arrays (diag, cross):
+    T[j, j] = diag[j] and T[p(j), j] = i cross[j]. t_flat holds the slot
+    transmissions of all blocks, block after block; an unpaired waveguide
+    has diag 1 and cross 0."""
     blk, a = _slot_index(k, tuple(offsets))
     t = np.asarray(t_flat, dtype=float)
     if t.shape != blk.shape:
         raise DomainError("transmission vector length does not match K and the offsets")
-    n_blocks = len(offsets)
-    cross = 1j * np.sqrt(np.maximum(1.0 - t ** 2, 0.0))
-    mat = np.zeros((n_blocks, k * k), dtype=complex)
-    mat[:, ::k + 1] = 1.0
-    flat = mat.reshape(-1)
-    aa = (blk * k + a) * k + a          # flat index of entry (b, a, a)
-    flat[aa] = t
-    flat[aa + k + 1] = t
-    flat[aa + 1] = cross
-    flat[aa + k] = cross
-    return mat.reshape(n_blocks, k, k)
+    diag = np.ones((len(offsets), k))
+    diag[blk, a] = t
+    diag[blk, a + 1] = t
+    return diag, np.sqrt(np.maximum(1.0 - diag ** 2, 0.0))
 
-
-# Every column j of a coupler column T has at most two nonzeros: the diagonal
-# T[j, j] = t_j and the partner entry T[p(j), j] = i c_j, where p swaps the two
-# waveguides of a coupler slot (c_j = sqrt(1 - t_j^2)) and an unpaired
-# waveguide is its own partner with c_j = 0. The engine forms every product
-# with T from these two entries.
 
 @functools.lru_cache(maxsize=64)
 def _partner_index(k: int, offsets: tuple):
@@ -98,15 +92,6 @@ def _partner_index(k: int, offsets: tuple):
     partner[blk, a + 1] = a
     rows = np.arange(n_blocks)[:, None, None] * k + np.arange(k)[:, None]
     return _read_only(rows * k + partner[:, None, :])
-
-
-def _column_entries(t_mats):
-    """The two nonzeros of every column of a coupler-column stack, as real
-    (B, K) arrays: the diagonal t_j, and c_j of the partner entry i c_j. As
-    coupler_matrix builds it, c_j = sqrt(1 - t_j^2), which is 0 on an
-    unpaired waveguide (t_j = 1)."""
-    diag = np.diagonal(t_mats, axis1=-2, axis2=-1).real
-    return diag, np.sqrt(np.maximum(1.0 - diag ** 2, 0.0))
 
 
 def _two_entry_product(p_tildes, diag, cross, partner):
@@ -137,37 +122,6 @@ def _normalize_backward(u, norms, g_y, axis):
     # y = u / norms; norms real, broadcast along `axis`
     s = np.sum((np.conj(g_y) * u).real, axis=axis, keepdims=True)
     return g_y / norms - (s / norms ** 3) * u
-
-
-# ---------------------------------------------------------------------------
-# tiles and partitioned weights
-
-@dataclass
-class WeightPartition:
-    """Tiling of an M x N weight into K x K tiles, each (U, sigma, V)."""
-
-    m_rows: int
-    n_cols: int
-    k: int
-    tiles: list  # nested [p][q] -> (U, sigma, V)
-
-    @property
-    def p_tiles(self) -> int:
-        return (self.m_rows + self.k - 1) // self.k
-
-    @property
-    def q_tiles(self) -> int:
-        return (self.n_cols + self.k - 1) // self.k
-
-    def assemble(self) -> np.ndarray:
-        """Dense M x N matrix equal to the partitioned operator."""
-        k = self.k
-        full = np.zeros((self.p_tiles * k, self.q_tiles * k), dtype=complex)
-        for p in range(self.p_tiles):
-            for q in range(self.q_tiles):
-                u, sigma, v = self.tiles[p][q]
-                full[p * k:(p + 1) * k, q * k:(q + 1) * k] = u @ np.diag(sigma) @ v
-        return full[: self.m_rows, : self.n_cols]
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +277,11 @@ class SuperMesh:
         return c
 
     def _coupler_structure(self):
-        """The T part, keyed on the t_flat values and the offsets: the
-        (B, K, K) coupler columns T of the binarized transmissions and the
-        two nonzeros of each of their columns, the flat slot and partner
-        indices, the binarized transmissions and the discrete coupler counts.
-        Returns the cache dict.
+        """The T part, keyed on the t_flat values and the offsets: the two
+        nonzeros of each column of the coupler columns T of the binarized
+        transmissions, the flat slot and partner indices, the binarized
+        transmissions and the discrete coupler counts. Returns the cache
+        dict.
 
         The key is the latents themselves, not their binarized values, so
         during a search T is rebuilt after every coupler update rather than
@@ -340,11 +294,10 @@ class SuperMesh:
                 and np.array_equal(c.get("t_raw"), self.t_flat)):
             t_raw = self.t_flat.astype(float)
             t_q = quantize_coupler(t_raw)
-            t_mats = coupler_matrix(t_q, self.k, offsets)
-            diag, cross = _column_entries(t_mats)
+            diag, cross = coupler_matrix(t_q, self.k, offsets)
             blk, a = _slot_index(self.k, tuple(offsets))
             c.update(offsets=offsets, t_raw=_read_only(t_raw),
-                     t_q=_read_only(t_q), t_mats=_read_only(t_mats),
+                     t_q=_read_only(t_q),
                      t_cols=(_read_only(diag), _read_only(cross)),
                      slots=(blk, a), partner=_partner_index(self.k, tuple(offsets)),
                      n_dc=_read_only(np.bincount(blk[t_raw < 0.0],
@@ -389,16 +342,15 @@ class SuperMesh:
     def _binarized_product(self, c):
         """The (B, K, K) product P~T of the cached parts, its conjugate and
         the partner columns P~[:, p(j)] (read-only). They are rebuilt when the
-        P~ or T array they were formed from is replaced; those are never
+        P~ or T columns they were formed from are replaced; those are never
         written, so an identity check is enough."""
-        p_tildes, t_mats = c["p_tildes"], c["t_mats"]
+        p_tildes, t_cols = c["p_tildes"], c["t_cols"]
         formed_from = c.get("pt_t_of", (None, None))
-        if formed_from[0] is not p_tildes or formed_from[1] is not t_mats:
-            pt_t, p_partner = _two_entry_product(p_tildes, *c["t_cols"],
-                                                 c["partner"])
+        if formed_from[0] is not p_tildes or formed_from[1] is not t_cols[0]:
+            pt_t, p_partner = _two_entry_product(p_tildes, *t_cols, c["partner"])
             c.update(pt_t=_read_only(pt_t), pt_conj=_read_only(pt_t.conj()),
                      p_partner=_read_only(p_partner),
-                     pt_t_of=(p_tildes, t_mats))
+                     pt_t_of=(p_tildes, t_cols[0]))
         return c["pt_t"], c["pt_conj"], c["p_partner"]
 
     # -- forward / backward -------------------------------------------------
@@ -428,8 +380,9 @@ class SuperMesh:
         m_weights: (B, 2) gate weights (sampled or certain).
         phi_noise: optional array broadcastable to phi, added to the phases.
         Returns (W, cache); cache["p_tildes"] holds the (B, K, K) relaxed
-        permutations for the step's ALM term. The structure entries
-        (p_tildes, p_cache, t_eff, t_mats, t_cols, slots, partner, and pt_t,
+        permutations for the step's ALM term, and cache["sigma"] a copy of
+        the sigma W was formed with, which backward reads. The structure
+        entries (p_tildes, p_cache, t_eff, slots, partner, and t_cols, pt_t,
         pt_conj and p_partner when binarized) are read-only.
         """
         k = self.k
@@ -438,14 +391,12 @@ class SuperMesh:
         r = np.exp(-1j * phi_eff)                          # (P, Q, B, K)
         c = self._perm_structure()
         self._coupler_structure()
-        p_tildes, t_eff, t_mats = c["p_tildes"], c["t_q"], c["t_mats"]
-        t_cols = c["t_cols"]
+        p_tildes, t_eff, t_cols = c["p_tildes"], c["t_q"], c["t_cols"]
         if binarize:
             pt_t, pt_conj, p_partner = self._binarized_product(c)  # (B, K, K)
         else:   # raw-latent columns and their product, formed here, not cached
             t_eff = c["t_raw"]
-            t_mats = _read_only(coupler_matrix(t_eff, k, c["offsets"]))
-            t_cols = _column_entries(t_mats)
+            t_cols = coupler_matrix(t_eff, k, c["offsets"])
             pt_t, p_partner = _two_entry_product(p_tildes, *t_cols, c["partner"])
             pt_conj = pt_t.conj()
         mats = pt_t * r[..., None, :]                      # (P, Q, B, K, K)
@@ -478,17 +429,18 @@ class SuperMesh:
             raise DegeneracyError("zero norm while normalizing a unitary")
         u_n = u_raw / u_norms
         v_n = v_raw / v_norms
-        w_tiles = u_n @ (self.sigma[..., :, None] * v_n)
+        sigma = self.sigma.copy()
+        w_tiles = u_n @ (sigma[..., :, None] * v_n)
         w_pad = w_tiles.transpose(0, 2, 1, 3).reshape(self.p_tiles * k,
                                                       self.q_tiles * k)
         cache = {"p_tildes": p_tildes, "p_cache": c["p_cache"],
-                 "t_eff": t_eff, "t_mats": t_mats, "t_cols": t_cols,
+                 "t_eff": t_eff, "t_cols": t_cols,
                  "slots": c["slots"], "partner": c["partner"],
                  "pt_t": pt_t, "pt_conj": pt_conj, "p_partner": p_partner,
                  "r": r, "gated": gated,
                  "factors": factors, "partials": partials,
                  "u_norms": u_norms, "v_norms": v_norms, "u_n": u_n, "v_n": v_n,
-                 "m": m_weights, "binarize": binarize}
+                 "sigma": sigma, "m": m_weights, "binarize": binarize}
         return w_pad[: self.m_rows, : self.n_cols], cache
 
     def backward(self, cache, g_w, extra_ptilde=None, extra_tq=None):
@@ -508,7 +460,7 @@ class SuperMesh:
         g_wt = g_w_pad.reshape(self.p_tiles, k, self.q_tiles, k).transpose(0, 2, 1, 3)
 
         u_n, v_n = cache["u_n"], cache["v_n"]
-        sig = self.sigma[..., :, None]
+        sig = cache["sigma"][..., :, None]
         g_un = g_wt @ _herm(sig * v_n)
         g_dv = _herm(u_n) @ g_wt
         g_sigma = np.sum((g_dv * v_n.conj()).real, axis=-1)
@@ -596,18 +548,6 @@ class SuperMesh:
 
         return MeshGrads(phi=g_phi, sigma=g_sigma, t_latent=g_t_latent,
                          p_raw=g_p_raw, m=g_m)
-
-    # -- export --------------------------------------------------------------
-
-    def weight_partition(self, m_weights=None, binarize=True) -> WeightPartition:
-        """Snapshot the current mesh as explicit per-tile (U, sigma, V), all
-        taken from one forward pass."""
-        if m_weights is None:
-            m_weights = certainty_gates(self.n_blocks)
-        _, cache = self.forward(m_weights, binarize=binarize)
-        tiles = [[(cache["u_n"][p, q], self.sigma[p, q].copy(), cache["v_n"][p, q])
-                  for q in range(self.q_tiles)] for p in range(self.p_tiles)]
-        return WeightPartition(self.m_rows, self.n_cols, self.k, tiles)
 
 
 def certainty_gates(n_blocks: int) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import schema
 from .errors import ConfigError, DivergenceError, DomainError, StateError
-from .mesh import SuperMesh, WeightPartition, certainty_gates
+from .mesh import SuperMesh, certainty_gates
 from .optim import Adam
 from .topology import Topology
 
@@ -97,13 +97,6 @@ class ClassifyTask:
         x, y = (self.x_val, self.y_val) if split == "val" else (self.x_train, self.y_train)
         pred = np.argmax((x @ w.T).real, axis=1)
         return float(np.mean(pred == y))
-
-
-def task_loss(task, w, batch=None):
-    """Spec-level entry point; accepts a dense W or a WeightPartition."""
-    if isinstance(w, WeightPartition):
-        w = w.assemble()
-    return task.loss_and_grad(w, batch)
 
 
 def random_unitary(k: int, rng: np.random.Generator) -> np.ndarray:

@@ -6,10 +6,11 @@ slot from an explicit 2x2 transfer, and couplers are binarized by a local
 np.where.
 """
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from ptcsearch import DegeneracyError, DomainError, WeightPartition, reparametrize
+from ptcsearch import DegeneracyError, DomainError, reparametrize
 
 ROOT2_OVER_2 = math.sqrt(2.0) / 2.0
 
@@ -87,6 +88,34 @@ def normalize_unitary(u, mode: str):
 
 # ---------------------------------------------------------------------------
 # tiles and partitioned weights
+
+@dataclass
+class WeightPartition:
+    """Tiling of an M x N weight into K x K tiles, each (U, sigma, V)."""
+
+    m_rows: int
+    n_cols: int
+    k: int
+    tiles: list  # nested [p][q] -> (U, sigma, V)
+
+    @property
+    def p_tiles(self) -> int:
+        return (self.m_rows + self.k - 1) // self.k
+
+    @property
+    def q_tiles(self) -> int:
+        return (self.n_cols + self.k - 1) // self.k
+
+    def assemble(self) -> np.ndarray:
+        """Dense M x N matrix equal to the partitioned operator."""
+        k = self.k
+        full = np.zeros((self.p_tiles * k, self.q_tiles * k), dtype=complex)
+        for p in range(self.p_tiles):
+            for q in range(self.q_tiles):
+                u, sigma, v = self.tiles[p][q]
+                full[p * k:(p + 1) * k, q * k:(q + 1) * k] = u @ np.diag(sigma) @ v
+        return full[: self.m_rows, : self.n_cols]
+
 
 def tile_forward(u, sigma, v, x):
     """One weight tile: y = U diag(sigma) V x."""

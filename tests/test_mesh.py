@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import fd_check
 from oracle import (
+    WeightPartition,
     block_transfer,
     build_unitary,
     coupler_column,
@@ -29,7 +30,7 @@ from ptcsearch import (
     quantize_coupler,
     quantize_coupler_grad,
 )
-from ptcsearch.mesh import WeightPartition, coupler_matrix
+from ptcsearch.mesh import coupler_matrix
 from ptcsearch.pdk import (
     PenaltyConfig,
     footprint_expected,
@@ -401,17 +402,31 @@ def test_mesh_gradients_multi_tile_stochastic_gates(group):
             assert rel < 1e-4, (group, a, n, rel)
 
 
+def _cache_partition(mesh, cache):
+    """The engine's per-tile (U, sigma, V) of one forward pass, read from
+    its cache."""
+    tiles = [[(cache["u_n"][p, q], cache["sigma"][p, q], cache["v_n"][p, q])
+              for q in range(mesh.q_tiles)] for p in range(mesh.p_tiles)]
+    return WeightPartition(mesh.m_rows, mesh.n_cols, mesh.k, tiles)
+
+
 @pytest.mark.parametrize("binarize", [True, False])
 def test_batched_forward_matches_weight_partition_oracle(binarize):
     # the oracle composes each tile through build_unitary, one block and one
     # tile at a time, independently of the tile-stacked engine
     mesh, _, gates = _ragged_stochastic_mesh(seed=22)
-    w, _ = mesh.forward(gates, binarize=binarize)
-    oracle = weight_partition_oracle(mesh, gates, binarize=binarize).assemble()
+    w, cache = mesh.forward(gates, binarize=binarize)
+    oracle = weight_partition_oracle(mesh, gates, binarize=binarize)
     assert w.shape == (12, 20)
-    np.testing.assert_allclose(w, oracle, rtol=0.0, atol=1e-12)
-    snapshot = mesh.weight_partition(gates, binarize=binarize).assemble()
-    np.testing.assert_allclose(snapshot, oracle, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(w, oracle.assemble(), rtol=0.0, atol=1e-12)
+    # the engine's per-tile U and V, as one forward pass leaves them
+    snapshot = _cache_partition(mesh, cache)
+    np.testing.assert_allclose(snapshot.assemble(), oracle.assemble(),
+                               rtol=0.0, atol=1e-12)
+    for row, oracle_row in zip(snapshot.tiles, oracle.tiles):
+        for tile, oracle_tile in zip(row, oracle_row):
+            for got, want in zip(tile, oracle_tile):
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def test_binarized_backward_applies_ste_scaling():
@@ -431,12 +446,15 @@ def test_forward_from_topology_matches_build_unitary():
     rng = np.random.default_rng(18)
     topo = random_topology(8, 2, 2, rng)
     mesh = SuperMesh.from_topology(topo, rng=np.random.default_rng(0))
-    wp = mesh.weight_partition()
-    u, sigma, v = wp.tiles[0][0]
+    gates = certainty_gates(mesh.n_blocks)
+    w, cache = mesh.forward(gates)
+    u, sigma, v = _cache_partition(mesh, cache).tiles[0][0]
     assert np.linalg.norm(u.conj().T @ u - np.eye(8)) < 1e-6
     assert np.linalg.norm(v.conj().T @ v - np.eye(8)) < 1e-6
-    w, _ = mesh.forward(certainty_gates(mesh.n_blocks))
     assert np.allclose(w, u @ np.diag(sigma) @ v, atol=1e-10)
+    oracle_u, _, oracle_v = weight_partition_oracle(mesh, gates).tiles[0][0]
+    np.testing.assert_allclose(u, oracle_u, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(v, oracle_v, rtol=0.0, atol=1e-12)
 
 
 def test_block_transfer_equals_explicit_product():
@@ -447,20 +465,35 @@ def test_block_transfer_equals_explicit_product():
     perm = np.zeros((k, k))
     perm[np.arange(k), rng.permutation(k)] = 1.0
     a = block_transfer(phi, t, perm, 0)
-    explicit = perm @ coupler_matrix(t, k, [0])[0] @ np.diag(np.exp(-1j * phi))
+    # the engine's two nonzeros per column, placed by hand: at offset 0 the
+    # partner of waveguide j is j ^ 1
+    (diag,), (cross,) = coupler_matrix(t, k, [0])
+    t_mat = np.diag(diag).astype(complex)
+    t_mat[np.arange(k) ^ 1, np.arange(k)] = 1j * cross
+    explicit = perm @ t_mat @ np.diag(np.exp(-1j * phi))
     assert np.allclose(a, explicit, atol=1e-12)
 
 
 def test_stacked_coupler_matrix_matches_per_block_calls():
-    # the engine's flat scatter against the oracle's slot-by-slot columns
+    # the engine's two nonzeros per column against every column of the
+    # oracle's slot-by-slot matrices; at K=2 an offset-1 block has no slot
     rng = np.random.default_rng(23)
-    k = 7
-    offsets = [0, 1, 0, 1, 1]
-    ts = [rng.uniform(0.5, 1.0, n_coupler_slots(k, off)) for off in offsets]
-    stack = coupler_matrix(np.concatenate(ts), k, offsets)
-    assert stack.shape == (len(offsets), k, k)
-    for b, (t, off) in enumerate(zip(ts, offsets)):
-        assert np.array_equal(stack[b], coupler_column(t, k, off))
+    for k, offsets in ((7, [0, 1, 0, 1, 1]), (2, [0, 1])):
+        ts = [rng.uniform(0.5, 1.0, n_coupler_slots(k, off)) for off in offsets]
+        diag, cross = coupler_matrix(np.concatenate(ts), k, offsets)
+        assert diag.shape == cross.shape == (len(offsets), k)
+        for b, (t, off) in enumerate(zip(ts, offsets)):
+            col = coupler_column(t, k, off)
+            partner = np.arange(k)
+            pairs = off + 2 * np.arange(t.size)
+            partner[pairs], partner[pairs + 1] = pairs + 1, pairs
+            for j in range(k):
+                assert col[j, j] == diag[b, j]
+                if partner[j] == j:
+                    assert cross[b, j] == 0.0
+                else:
+                    assert col[partner[j], j] == 1j * cross[b, j]
+                assert not np.delete(col[:, j], [j, partner[j]]).any()
 
 
 def test_stacked_coupler_matrix_rejects_any_length_mismatch():
@@ -622,7 +655,7 @@ def _edit_in_place(mesh, what):
     return what != "binarize"
 
 
-STRUCTURE_KEYS = ("p_tildes", "t_mats", "pt_t")
+STRUCTURE_KEYS = ("p_tildes", "t_cols", "pt_t")
 
 
 @pytest.mark.parametrize("what", ["p_raw", "t_latent", "offsets", "binarize"])
@@ -631,7 +664,7 @@ def test_structure_cache_sees_in_place_edits(what):
     mesh.p_raw[0] = np.eye(7) + 0.05   # row max 0.78: not rounded
     gates = certainty_gates(mesh.n_blocks)
     before, first = mesh.forward(gates, binarize=True)
-    held = {key: first[key].copy() for key in STRUCTURE_KEYS}
+    held = {key: np.array(first[key]) for key in STRUCTURE_KEYS}
     binarize = _edit_in_place(mesh, what)
     after, cache = mesh.forward(gates, binarize=binarize)
     twin = _rebuilt(mesh)
@@ -733,8 +766,10 @@ def test_structure_cache_entries_are_read_only():
     _, cache = mesh.forward(gates)
     assert mesh.perm_tildes() is cache["p_tildes"]
     for key in STRUCTURE_KEYS:
-        with pytest.raises(ValueError):
-            cache[key][0, 0, 0] = 1.0
+        # t_cols is the pair (diag, cross)
+        for array in cache[key] if key == "t_cols" else (cache[key],):
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -789,6 +824,19 @@ def test_backward_on_an_older_cache_returns_its_earlier_gradients(n_u, n_v):
     for name in GRAD_FIELDS:
         assert np.array_equal(getattr(first, name), held[name])
         assert np.array_equal(getattr(again, name), held[name])
+
+
+@pytest.mark.parametrize("n_u, n_v", [(2, 2), (3, 1)])
+def test_backward_reads_the_sigma_of_its_forward(n_u, n_v):
+    # the forward cache holds its own sigma: an update between forward and
+    # backward leaves that cache's gradients as they were
+    mesh, _, _, cache, g_w = _workspace_pass(n_u, n_v, seed=44)
+    before = mesh.backward(cache, g_w)
+    held = {name: getattr(before, name).copy() for name in GRAD_FIELDS}
+    mesh.sigma += 0.3
+    after = mesh.backward(cache, g_w)
+    for name in GRAD_FIELDS:
+        np.testing.assert_array_equal(getattr(after, name), held[name])
 
 
 def test_warm_k32_backward_peak_is_under_three_stacks():
@@ -856,8 +904,13 @@ def test_two_entry_columns_match_oracle_and_fd(make):
     gates = sample_gates(mesh, 1.0, np.random.default_rng(61))
     for binarize in (True, False):
         w, cache = mesh.forward(gates, binarize=binarize)
-        np.testing.assert_allclose(cache["pt_t"], cache["p_tildes"] @ cache["t_mats"],
-                                   rtol=0.0, atol=1e-15)
+        # P~T block by block against P~ times the oracle's coupler column
+        ends = np.cumsum([n_coupler_slots(mesh.k, off) for off in mesh.offsets])
+        for b, t in enumerate(np.split(cache["t_eff"], ends[:-1])):
+            np.testing.assert_allclose(
+                cache["pt_t"][b],
+                cache["p_tildes"][b] @ coupler_column(t, mesh.k, mesh.offsets[b]),
+                rtol=0.0, atol=1e-15)
         oracle = weight_partition_oracle(mesh, gates, binarize=binarize).assemble()
         np.testing.assert_allclose(w, oracle, rtol=0.0, atol=1e-12)
     grads = mesh.backward(cache, task.loss_and_grad(w)[1])

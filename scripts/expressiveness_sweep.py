@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Fit error of fixed-structure meshes as a function of block count.
 
-Trains identity-permutation meshes of increasing depth against a fixed random
-unitary target and reports the per-depth seed-best matrix-fit error.
+Trains identity-permutation meshes of increasing depth through fit_mesh against
+a fixed random unitary target and reports the per-depth seed-best fit error.
 
 Usage:
     python3 scripts/expressiveness_sweep.py --blocks 2 4 8 16 --seeds 3
@@ -12,29 +12,21 @@ import argparse
 import numpy as np
 
 from ptcsearch import MatrixFitTask, SuperMesh
-from ptcsearch.mesh import certainty_gates
-from ptcsearch.optim import Adam
-from ptcsearch.permutation import perm_array_to_matrix
-from ptcsearch.tasks import random_unitary
+from ptcsearch.tasks import clean_metric, fit_mesh, random_unitary
 
 
 def train_fixed_structure(n_blocks, seed, k, steps, lr, target_seed):
+    """Train phases, scales and coupler latents of an identity-permutation
+    mesh with every block kept; returns the clean fit error."""
     task = MatrixFitTask(random_unitary(k, np.random.default_rng(target_seed)))
     mesh = SuperMesh(k, n_blocks // 2, n_blocks // 2,
                      rng=np.random.default_rng(seed))
-    for b in range(mesh.n_blocks):
-        mesh.p_raw[b] = perm_array_to_matrix(np.arange(k))
+    mesh.p_raw[:] = np.eye(k)
     mesh.perms_trainable = False
-    gates = certainty_gates(mesh.n_blocks)
-    opt = Adam(lr=lr)
-    for _ in range(steps):
-        w, cache = mesh.forward(gates, binarize=True)
-        _, g_w = task.loss_and_grad(w)
-        grads = mesh.backward(cache, g_w)
-        opt.step([mesh.phi, mesh.sigma, mesh.t_flat],
-                 [grads.phi, grads.sigma, grads.t_latent])
-    w, _ = mesh.forward(gates, binarize=True)
-    return task.evaluate(w)
+    # a matrix-fit task draws no batch and no noise is set, so fit_mesh
+    # never reads its generator
+    fit_mesh(mesh, task, steps, np.random.default_rng(seed), lr=lr)
+    return clean_metric(mesh, task)
 
 
 def main():

@@ -56,7 +56,6 @@ from .tasks import (
     ClassifyTask,
     MatrixFitTask,
     NoiseModel,
-    inject_phase_noise,
     load_dataset,
     robustness_sweep,
     variation_aware_train,

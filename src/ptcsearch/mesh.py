@@ -204,6 +204,16 @@ class SuperMesh:
         ends = np.cumsum(counts).tolist()
         return tuple(self.t_flat[end - n:end] for n, end in zip(counts, ends))
 
+    def structure_groups(self, grads: MeshGrads):
+        """(params, grads): the structure arrays this mesh trains and their
+        gradients, t_flat first if the couplers train, then p_raw if the
+        permutations do. Adam pairs its moments with parameters by position,
+        so every trainer steps them in this order."""
+        groups = [(self.t_flat, grads.t_latent, self.couplers_trainable),
+                  (self.p_raw, grads.p_raw, self.perms_trainable)]
+        return ([p for p, _, on in groups if on],
+                [g for _, g, on in groups if on])
+
     @classmethod
     def from_topology(cls, topology: Topology, m_rows=None, n_cols=None, rng=None):
         """Fixed-structure mesh: all gates certain, couplers and permutations

@@ -209,13 +209,7 @@ def search_step(mesh: SuperMesh, task, phase: str, state: SearchState, rng,
         self_params = [mesh.phi, mesh.sigma]
         self_grads = [grads.phi, grads.sigma]
         state.opt_weights.step(self_params, self_grads, lr=lr)
-        struct_params, struct_grads = [], []
-        if mesh.couplers_trainable:
-            struct_params.append(mesh.t_flat)
-            struct_grads.append(grads.t_latent)
-        if mesh.perms_trainable:
-            struct_params.append(mesh.p_raw)
-            struct_grads.append(grads.p_raw)
+        struct_params, struct_grads = mesh.structure_groups(grads)
         if struct_params:
             state.opt_struct.step(struct_params, struct_grads, lr=lr)
         if mesh.perms_trainable:

@@ -1,5 +1,4 @@
 """Desk-scale tasks, phase-noise injection, and robustness evaluation."""
-import copy
 import csv
 import struct
 from dataclasses import dataclass
@@ -219,25 +218,11 @@ def _load_idx(images_path, labels_path):
 # ---------------------------------------------------------------------------
 # noise injection and variation-aware training
 
-def inject_phase_noise(obj, noise: NoiseModel, rng: np.random.Generator):
-    """Fresh perturbed copy with phi + N(0, sigma^2); the original is untouched."""
-    out = copy.deepcopy(obj)
-    if noise.phase_sigma == 0:
-        return out
-    if isinstance(out, Topology):
-        for blk in out.blocks:
-            blk.phases = blk.phases + rng.normal(0.0, noise.phase_sigma,
-                                                 size=blk.phases.shape)
-    elif isinstance(out, SuperMesh):
-        out.phi = out.phi + rng.normal(0.0, noise.phase_sigma, size=out.phi.shape)
-    else:
-        raise DomainError("expected a Topology or SuperMesh")
-    return out
-
-
 def fit_mesh(mesh, task, steps, rng, lr=5e-3, noise=None, target_loss=None):
-    """Train phi and sigma of a fixed-structure mesh; returns the loss trace.
+    """Train a mesh with every gate certain; returns the loss trace.
 
+    One Adam steps phi, sigma and the mesh's trainable structure_groups, of
+    which a from_topology mesh has none.
     noise: optional NoiseModel applied as a fresh phase draw per forward pass.
     target_loss: optional early stop once the clean loss falls below it.
     """
@@ -255,7 +240,9 @@ def fit_mesh(mesh, task, steps, rng, lr=5e-3, noise=None, target_loss=None):
             raise DivergenceError("training loss is not finite", snapshot=trace)
         trace.append(loss)
         grads = mesh.backward(cache, g_w)
-        opt.step([mesh.phi, mesh.sigma], [grads.phi, grads.sigma])
+        struct_params, struct_grads = mesh.structure_groups(grads)
+        opt.step([mesh.phi, mesh.sigma] + struct_params,
+                 [grads.phi, grads.sigma] + struct_grads)
         if target_loss is not None:
             clean_w, _ = mesh.forward(gates, binarize=True)
             if task.evaluate(clean_w) <= target_loss:

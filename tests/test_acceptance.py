@@ -38,8 +38,6 @@ from ptcsearch import (
     spl_legalize,
 )
 from ptcsearch.cli import baseline_footprint, main
-from ptcsearch.mesh import certainty_gates
-from ptcsearch.optim import Adam
 from ptcsearch.pdk import block_area_extremes, block_bounds
 from ptcsearch.permutation import perm_array_to_matrix
 from ptcsearch.search import SearchConfig, SearchSchedule
@@ -242,19 +240,10 @@ def _train_fixed_structure(n_blocks, seed, k=8, steps=800, lr=2e-2):
     task = MatrixFitTask(random_unitary(k, np.random.default_rng(7)))
     mesh = SuperMesh(k, n_blocks // 2, n_blocks // 2,
                      rng=np.random.default_rng(seed))
-    for b in range(mesh.n_blocks):
-        mesh.p_raw[b] = perm_array_to_matrix(np.arange(k))
+    mesh.p_raw[:] = np.eye(k)
     mesh.perms_trainable = False
-    gates = certainty_gates(mesh.n_blocks)
-    opt = Adam(lr=lr)
-    for _ in range(steps):
-        w, cache = mesh.forward(gates, binarize=True)
-        _, g_w = task.loss_and_grad(w)
-        grads = mesh.backward(cache, g_w)
-        opt.step([mesh.phi, mesh.sigma, mesh.t_flat],
-                 [grads.phi, grads.sigma, grads.t_latent])
-    w, _ = mesh.forward(gates, binarize=True)
-    return task.evaluate(w)
+    fit_mesh(mesh, task, steps, np.random.default_rng(seed), lr=lr)
+    return clean_metric(mesh, task)
 
 
 def test_acceptance_7_expressiveness_trend():

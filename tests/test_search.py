@@ -423,6 +423,68 @@ def test_sample_submesh_matches_enumeration_oracle():
     assert footprint_exact(topo, pdk) == pytest.approx(163_200.0)
 
 
+def _set_keep_probs(mesh, probs):
+    # softmax(theta)[:, 1] = sigmoid(theta[:, 1] - theta[:, 0])
+    probs = np.asarray(probs, dtype=float)
+    mesh.theta[:, 0] = 0.0
+    mesh.theta[:, 1] = np.log(probs) - np.log1p(-probs)
+
+
+def _netlist_bytes(topo, pdk):
+    return dumps_canonical(topology_to_doc(topo, pdk))
+
+
+def test_sample_submesh_exhaustive_fallback_keeps_most_probable_mask():
+    # 6 free gates, so the fallback enumerates. Every in-window mask keeps
+    # at least two of the ~1e-9 blocks, so no gate draw lands and the
+    # fallback decides. Block 1 has its couplers placed and is the most
+    # probable unlikely block: a greedy pass adds it first and overshoots.
+    mesh = _legal_mesh(n_u=3, n_v=3)
+    mesh.t_latent[1][:] = -0.5
+    probs = [0.9, 5e-9, 2e-9, 0.8, 4e-9, 1e-9]
+    _set_keep_probs(mesh, probs)
+    probs = mesh.keep_probs()
+    pdk = load_pdk("amf")
+    # exactly four bare blocks: 4 * 54,400 = 217,600
+    c = FootprintConstraint(217_000.0, 218_000.0, margin=0.0)
+    areas = [8 * pdk.f_ps + pdk.f_dc * int(np.sum(t < 0.0))
+             for t in mesh.t_latent]
+    best, best_p, n_valid = None, -1.0, 0
+    for bits in itertools.product([False, True], repeat=6):
+        keep = np.array(bits)
+        if not (keep[:3].any() and keep[3:].any()):
+            continue
+        if not c.contains(sum(a for a, k_ in zip(areas, keep) if k_)):
+            continue
+        n_valid += 1
+        p = float(np.prod(np.where(keep, probs, 1.0 - probs)))
+        assert p < 1e-15
+        if p > best_p:
+            best, best_p = keep, p
+    assert n_valid == 5
+    topo = sample_submesh(mesh, c, pdk, np.random.default_rng(0))
+    expected = search_module.mesh_to_topology(mesh, best, pdk.name)
+    assert _netlist_bytes(topo, pdk) == _netlist_bytes(expected, pdk)
+    assert [bool(b) for b in best] == [True, False, True, True, True, False]
+
+
+def test_sample_submesh_greedy_pass_lands_in_the_window():
+    # 18 free gates: past the enumeration limit, so the greedy pass runs.
+    # The window needs six bare blocks, but only two are likely, so no draw
+    # lands; the greedy pass must add the next most probable blocks.
+    mesh = _legal_mesh(k=4, n_u=9, n_v=9)
+    probs = 1e-9 * np.arange(1, 19)
+    probs[[0, 9]] = 0.9
+    _set_keep_probs(mesh, probs)
+    pdk = load_pdk("amf")
+    # six bare K=4 blocks: 6 * 27,200 = 163,200
+    c = FootprintConstraint(163_000.0, 163_500.0, margin=0.0)
+    topo = sample_submesh(mesh, c, pdk, np.random.default_rng(0))
+    assert c.contains(footprint_exact(topo, pdk))
+    assert topo.n_blocks == 6
+    assert topo.blocks_u and topo.blocks_v
+
+
 def test_sample_submesh_infeasible_window():
     mesh = _legal_mesh()
     pdk = load_pdk("amf")

@@ -1,4 +1,5 @@
-"""Tasks, datasets, noise injection, and robustness evaluation."""
+"""Tasks, datasets, phase noise, fixed-structure training, and robustness
+evaluation."""
 import numpy as np
 import pytest
 
@@ -10,12 +11,12 @@ from ptcsearch import (
     NoiseModel,
     StateError,
     SuperMesh,
-    inject_phase_noise,
     load_dataset,
     robustness_sweep,
     variation_aware_train,
 )
 from ptcsearch.mesh import certainty_gates
+from ptcsearch.optim import Adam
 from ptcsearch.tasks import clean_metric, fit_mesh, noisy_metric, random_unitary
 
 
@@ -72,48 +73,68 @@ def test_classify_gradient_matches_fd():
 
 
 # ---------------------------------------------------------------------------
-# phase-noise injection
-
-def test_zero_noise_is_identity():
-    topo = random_topology(8, 2, 2, np.random.default_rng(4))
-    out = inject_phase_noise(topo, NoiseModel(0.0), np.random.default_rng(0))
-    for a, b in zip(out.blocks, topo.blocks):
-        assert np.array_equal(a.phases, b.phases)
-
-
-def test_noise_sample_std():
-    topo = random_topology(8, 2, 2, np.random.default_rng(5))
-    rng = np.random.default_rng(6)
-    deltas = []
-    noise = NoiseModel(0.02)
-    while len(deltas) < 100_000:
-        out = inject_phase_noise(topo, noise, rng)
-        for a, b in zip(out.blocks, topo.blocks):
-            deltas.extend((a.phases - b.phases).tolist())
-    std = float(np.std(deltas))
-    assert 0.0195 <= std <= 0.0205
-
+# phase noise
 
 def test_noise_preserves_unitarity():
+    # the phase-noise path of fit_mesh and noisy_metric: a drawn phi_noise
+    # passed to the forward
     topo = random_topology(8, 2, 2, np.random.default_rng(7))
-    noisy = inject_phase_noise(topo, NoiseModel(0.1), np.random.default_rng(8))
-    mesh = SuperMesh.from_topology(noisy, rng=np.random.default_rng(0))
-    _, cache = mesh.forward(certainty_gates(mesh.n_blocks))
+    mesh = SuperMesh.from_topology(topo, rng=np.random.default_rng(0))
+    phi_noise = np.random.default_rng(8).normal(0.0, 0.1, mesh.phi.shape)
+    _, cache = mesh.forward(certainty_gates(mesh.n_blocks), phi_noise=phi_noise)
     u, v = cache["u_n"][0, 0], cache["v_n"][0, 0]
     assert np.linalg.norm(u.conj().T @ u - np.eye(8)) < 1e-6
     assert np.linalg.norm(v.conj().T @ v - np.eye(8)) < 1e-6
 
 
-def test_noise_original_untouched():
-    mesh = SuperMesh(4, 1, 1, rng=np.random.default_rng(9))
-    before = mesh.phi.copy()
-    inject_phase_noise(mesh, NoiseModel(0.5), np.random.default_rng(10))
-    assert np.array_equal(mesh.phi, before)
-
-
 def test_noise_model_rejects_negative_sigma():
     with pytest.raises(DomainError):
         NoiseModel(-0.1)
+
+
+# ---------------------------------------------------------------------------
+# fixed-structure training
+
+def _identity_perm_mesh():
+    mesh = SuperMesh(8, 2, 2, rng=np.random.default_rng(3))
+    mesh.p_raw[:] = np.eye(8)
+    mesh.perms_trainable = False
+    return mesh
+
+
+def test_fit_mesh_steps_the_coupler_latents_the_mesh_holds_trainable():
+    task = MatrixFitTask(random_unitary(8, np.random.default_rng(7)))
+    mesh, ref = _identity_perm_mesh(), _identity_perm_mesh()
+    t_before = mesh.t_flat.copy()
+    trace = fit_mesh(mesh, task, 200, np.random.default_rng(0), lr=2e-2)
+    # reference: one Adam over phi, sigma and t_flat, in that order
+    gates = certainty_gates(ref.n_blocks)
+    opt = Adam(lr=2e-2)
+    ref_trace = []
+    for _ in range(200):
+        w, cache = ref.forward(gates, binarize=True)
+        loss, g_w = task.loss_and_grad(w)
+        ref_trace.append(loss)
+        grads = ref.backward(cache, g_w)
+        opt.step([ref.phi, ref.sigma, ref.t_flat],
+                 [grads.phi, grads.sigma, grads.t_latent])
+    np.testing.assert_array_equal(trace, ref_trace)
+    np.testing.assert_array_equal(mesh.t_flat, ref.t_flat)
+    np.testing.assert_array_equal(mesh.phi, ref.phi)
+    assert not np.array_equal(mesh.t_flat, t_before)
+
+
+def test_fit_mesh_leaves_a_fixed_topology_structure_untouched():
+    topo = random_topology(8, 2, 2, np.random.default_rng(15))
+    task = MatrixFitTask(random_unitary(8, np.random.default_rng(7)))
+    mesh = SuperMesh.from_topology(topo, rng=np.random.default_rng(0))
+    t_before, p_before = mesh.t_flat.copy(), mesh.p_raw.copy()
+    phi_before = mesh.phi.copy()
+    fit_mesh(mesh, task, 50, np.random.default_rng(1), lr=2e-2,
+             noise=NoiseModel(0.02))
+    np.testing.assert_array_equal(mesh.t_flat, t_before)
+    np.testing.assert_array_equal(mesh.p_raw, p_before)
+    assert not np.array_equal(mesh.phi, phi_before)
 
 
 # ---------------------------------------------------------------------------

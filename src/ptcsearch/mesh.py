@@ -25,6 +25,8 @@ from .topology import Topology, coupler_offset, n_coupler_slots
 
 ROOT2_OVER_2 = math.sqrt(2.0) / 2.0
 STE_SCALE = (2.0 - math.sqrt(2.0)) / 4.0
+CERTAIN_GATE = np.array([0.0, 1.0])   # (m1, m2) of a kept block: its factor is A
+CERTAIN_GATE.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +115,25 @@ def _read_only(a):
     return a
 
 
+@functools.lru_cache(maxsize=64)
+def _identity(k: int):
+    """np.eye(k), memoized and read-only."""
+    return _read_only(np.eye(k))
+
+
+def _same_values(held, a):
+    """np.array_equal(held, a) for a held copy, None before the first build."""
+    return held is not None and held.shape == a.shape and bool((held == a).all())
+
+
 def _herm(x):
     """Conjugate transpose of the last two axes."""
-    return np.swapaxes(x, -1, -2).conj()
+    return x.swapaxes(-1, -2).conj()
 
 
 def _normalize_backward(u, norms, g_y, axis):
     # y = u / norms; norms real, broadcast along `axis`
-    s = np.sum((np.conj(g_y) * u).real, axis=axis, keepdims=True)
+    s = (g_y.conj() * u).real.sum(axis=axis, keepdims=True)
     return g_y / norms - (s / norms ** 3) * u
 
 
@@ -277,7 +290,7 @@ class SuperMesh:
         crossing counts of the hard permutation estimates, and the proxy
         terms P~ - I and ||P~ - I||_F^2. Returns the cache dict."""
         c = self._structure
-        if not np.array_equal(c.get("p_raw"), self.p_raw):
+        if not _same_values(c.get("p_raw"), self.p_raw):
             p_tildes, p_cache = reparametrize(self.p_raw)
             p_diff, p_sqdist = perm_proxy_terms(p_tildes)
             c.update(p_raw=self.p_raw.copy(), p_tildes=_read_only(p_tildes),
@@ -301,7 +314,7 @@ class SuperMesh:
         c = self._structure
         offsets = list(self.offsets)
         if not (c.get("offsets") == offsets
-                and np.array_equal(c.get("t_raw"), self.t_flat)):
+                and _same_values(c.get("t_raw"), self.t_flat)):
             t_raw = self.t_flat.astype(float)
             t_q = quantize_coupler(t_raw)
             diag, cross = coupler_matrix(t_q, self.k, offsets)
@@ -323,14 +336,16 @@ class SuperMesh:
 
         Arrays whose lifetimes do not overlap share memory: "chain" holds
         g_left, then g_mats of unequal chains, then the tile sum S; "operand"
-        the conjugated partials, then each per-pass product; "factors"
-        g_factors (and g_mats, a view of it when n_u == n_v), then S[:, p].
+        the conjugated factor stack, then the conjugated partials 1..L-1,
+        then each per-pass product; "factors" g_factors (and g_mats, a view
+        of it when n_u == n_v), then S[:, p].
         """
         ws = self._workspace.get(factors_shape)
         if ws is None:
             p, q, _, length, k, _ = factors_shape
             b = self.n_blocks
             position = (length, p, q, 2, k, k)
+            partials = (length - 1,) + position[1:]
             stack = (p, q, b, k, k)
             chain = np.empty(max(math.prod(position), math.prod(stack)), dtype=complex)
             operand = np.empty(chain.shape, dtype=complex)
@@ -339,8 +354,8 @@ class SuperMesh:
                 "g_left": chain[:math.prod(position)].reshape(position),
                 "g_mats": chain[:math.prod(stack)].reshape(stack),
                 "s": chain[:b * k * k].reshape(b, k, k),
-                "factor_h": np.empty((p, q, 2, k, k), dtype=complex),
-                "partials_h": operand[:math.prod(position)].reshape(position),
+                "factors_h": operand[:math.prod(factors_shape)].reshape(factors_shape),
+                "partials_h": operand[:math.prod(partials)].reshape(partials),
                 "prod": operand[:math.prod(stack)].reshape(stack),
                 "g_factors": g_factors,
                 "g_factors_by_position": g_factors.transpose(3, 0, 1, 2, 4, 5),
@@ -373,8 +388,9 @@ class SuperMesh:
     # The U and V chains run as one loop over L = max(n_u, n_v) positions of
     # (P, Q, 2, K, K) factors, U at index 0 and V at index 1; the shorter
     # chain is front-padded with identities (I @ I is exact, so no product
-    # changes). That loop and the backward's cotangent recurrence make one
-    # matmul per position for both chains; every block's cotangent is then
+    # changes). The chain starts at the first factor, so that loop and the
+    # backward's cotangent recurrence over the once-conjugated factor stack
+    # make L - 1 matmuls for both chains; every block's cotangent is then
     # formed by one batched matmul, and every per-block reduction after it by
     # one batched expression: the phase and gate cotangents from one column
     # sum, the P~ and coupler cotangents from the tile sum S and the two
@@ -410,7 +426,7 @@ class SuperMesh:
             pt_t, p_partner = _two_entry_product(p_tildes, *t_cols, c["partner"])
             pt_conj = pt_t.conj()
         mats = pt_t * r[..., None, :]                      # (P, Q, B, K, K)
-        gated = bool(np.any(m_weights[:, 0] != 0.0) or np.any(m_weights[:, 1] != 1.0))
+        gated = not (m_weights == CERTAIN_GATE).all()
         if gated:
             # factors m1 I + m2 A: scale A in place, then add m1 on the diagonals
             mats *= m_weights[:, 1, None, None]
@@ -424,18 +440,21 @@ class SuperMesh:
             factors = mats.reshape(shape)
         else:   # front-pad the shorter chain with identity factors
             factors = np.empty(shape, dtype=complex)
-            factors[...] = np.eye(k)
+            factors[...] = _identity(k)
             factors[:, :, 0, length - n_u:] = mats[:, :, :n_u]
             factors[:, :, 1, length - n_v:] = mats[:, :, n_u:]
         # partials[i]: product of the first i factors of each chain
         partials = np.empty((length + 1,) + shape[:3] + (k, k), dtype=complex)
-        partials[0] = np.eye(k)
-        for i in range(length):
+        partials[0] = _identity(k)
+        partials[1] = factors[:, :, :, 0]
+        for i in range(1, length):
             np.matmul(factors[:, :, :, i], partials[i], out=partials[i + 1])
         u_raw, v_raw = partials[-1, :, :, 0], partials[-1, :, :, 1]
-        u_norms = np.sqrt(np.sum(np.abs(u_raw) ** 2, axis=-1, keepdims=True))
-        v_norms = np.sqrt(np.sum(np.abs(v_raw) ** 2, axis=-2, keepdims=True))
-        if np.any(u_norms < 1e-150) or np.any(v_norms < 1e-150):
+        u_norms = np.sqrt((np.abs(u_raw) ** 2).sum(axis=-1, keepdims=True))
+        v_norms = np.sqrt((np.abs(v_raw) ** 2).sum(axis=-2, keepdims=True))
+        # fmin skips NaN, as any(norms < tol) does
+        if np.fmin.reduce(u_norms, axis=None) < 1e-150 or \
+                np.fmin.reduce(v_norms, axis=None) < 1e-150:
             raise DegeneracyError("zero norm while normalizing a unitary")
         u_n = u_raw / u_norms
         v_n = v_raw / v_norms
@@ -473,7 +492,7 @@ class SuperMesh:
         sig = cache["sigma"][..., :, None]
         g_un = g_wt @ _herm(sig * v_n)
         g_dv = _herm(u_n) @ g_wt
-        g_sigma = np.sum((g_dv * v_n.conj()).real, axis=-1)
+        g_sigma = (g_dv * v_n.conj()).real.sum(axis=-1)
 
         # g_left[i] = L^H g for the product L of the factors after position
         # i, both chains at once; then every factor's cotangent in one matmul.
@@ -486,14 +505,16 @@ class SuperMesh:
         g_left[-1, :, :, 1] = _normalize_backward(partials[-1, :, :, 1],
                                                   cache["v_norms"], sig * g_dv,
                                                   axis=-2)
-        factor_h = ws["factor_h"]
+        factors_h = np.conjugate(factors, out=ws["factors_h"])
         for i in range(length - 1, 0, -1):
-            np.conjugate(factors[:, :, :, i], out=factor_h)
-            np.matmul(np.swapaxes(factor_h, -1, -2), g_left[i], out=g_left[i - 1])
-        partials_h = np.conjugate(partials[:-1], out=ws["partials_h"])
-        np.matmul(g_left, np.swapaxes(partials_h, -1, -2),
-                  out=ws["g_factors_by_position"])
+            np.matmul(factors_h[:, :, :, i].swapaxes(-1, -2), g_left[i],
+                      out=g_left[i - 1])
+        # partials[0] = I, so position 0's cotangent is g_left[0] itself
         g_factors = ws["g_factors"]
+        g_factors[:, :, :, 0] = g_left[0]
+        partials_h = np.conjugate(partials[1:-1], out=ws["partials_h"])
+        np.matmul(g_left[1:], partials_h.swapaxes(-1, -2),
+                  out=ws["g_factors_by_position"][1:])
         # g_mats[p, q, b]: cotangent on block b's gated factor in tile (p, q);
         # g_left and partials_h are dead from here on
         stack = factors.shape[:2] + (self.n_blocks, k, k)
@@ -512,8 +533,8 @@ class SuperMesh:
         g_col = np.einsum("...ij->...j", prod)             # (P, Q, B, K)
         g_m = None
         if not self.frozen.all():
-            g_m = np.stack([np.trace(g_mats, axis1=-2, axis2=-1).sum(axis=(0, 1)).real,
-                            np.sum((r * g_col.conj()).real, axis=(0, 1, 3))],
+            g_m = np.stack([g_mats.trace(axis1=-2, axis2=-1).sum(axis=(0, 1)).real,
+                            (r * g_col.conj()).real.sum(axis=(0, 1, 3))],
                            axis=-1)
         gated = cache["gated"]
         g_r = g_col * m_weights[:, 1, None] if gated else g_col
@@ -524,7 +545,7 @@ class SuperMesh:
             # the tile sum S = sum_pq g_A conj(r) carries every P~ and T
             # cotangent; g_A = m2 g_mats, and m2 is the same in every tile
             np.multiply(g_mats, r.conj()[..., None, :], out=prod)
-            s = np.sum(prod, axis=(0, 1), out=ws["s"])
+            s = prod.sum(axis=(0, 1), out=ws["s"])
             if gated:
                 s *= m_weights[:, 1, None, None]
         if self.perms_trainable:
@@ -562,9 +583,7 @@ class SuperMesh:
 
 def certainty_gates(n_blocks: int) -> np.ndarray:
     """Gate weights with every block kept deterministically."""
-    m = np.zeros((n_blocks, 2))
-    m[:, 1] = 1.0
-    return m
+    return np.tile(CERTAIN_GATE, (n_blocks, 1))
 
 
 def expected_keep_prob(theta, frozen=False):

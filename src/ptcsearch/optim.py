@@ -15,35 +15,40 @@ class Adam:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self._m = None
-        self._v = None
+        self._m = self._v = self._shapes = None
 
     def step(self, params, grads, lr=None):
         """params/grads: parallel lists of ndarrays. lr overrides the base rate.
 
-        The moments are paired with params by position, so every call must pass
-        arrays of the first call's count and shapes; anything else raises
-        StateError (start a fresh Adam for a new parameter set).
+        The moments are flat vectors over the list, paired with params by
+        position, so every call must pass arrays of the first call's count and
+        shapes; anything else raises StateError (start a fresh Adam instead).
         """
+        shapes = [np.shape(p) for p in params]
         if self._m is None:
-            self._m = [np.zeros_like(p) for p in params]
-            self._v = [np.zeros_like(p) for p in params]
-        elif len(params) != len(self._m) or \
-                any(np.shape(p) != m.shape for p, m in zip(params, self._m)):
+            self._shapes = shapes
+            self._m = np.zeros(sum(math.prod(s) for s in shapes))
+            self._v = np.zeros(self._m.shape)
+        elif shapes != self._shapes:
             raise StateError("parameter list does not match the optimizer's "
                              "moments (count or shape)")
         self.t += 1
         lr = self.lr if lr is None else lr
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for i, (p, g) in enumerate(zip(params, grads)):
-            if self.weight_decay:
-                g = g + self.weight_decay * p
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self._m[i] / bc1
-            v_hat = self._v[i] / bc2
-            p -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        # the per-parameter expressions over the flat vectors, in their order
+        g = np.concatenate([np.ravel(x) for x in grads])
+        if self.weight_decay:
+            g += self.weight_decay * np.concatenate([np.ravel(x) for x in params])
+        self._m *= self.beta1
+        self._m += (1.0 - self.beta1) * g
+        self._v *= self.beta2
+        self._v += (1.0 - self.beta2) * (g * g)
+        update = lr * (self._m / bc1) / (np.sqrt(self._v / bc2) + self.eps)
+        end = 0
+        for p in params:
+            p -= update[end:end + p.size].reshape(p.shape)
+            end += p.size
 
 
 def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:

@@ -189,3 +189,24 @@ def weight_partition_oracle(mesh, m_weights, binarize=True):
                normalize_unitary(chain(mesh.v_block_ids(), p, q), "column"))
               for q in range(mesh.q_tiles)] for p in range(mesh.p_tiles)]
     return WeightPartition(mesh.m_rows, mesh.n_cols, mesh.k, tiles)
+
+
+# ---------------------------------------------------------------------------
+# Adam, one parameter at a time
+
+def adam_step(params, grads, m, v, t, lr, betas=(0.9, 0.999), eps=1e-8,
+              weight_decay=0.0):
+    """Step t (counted from 1) of Adam with one moment array per parameter:
+    m and v are lists parallel to params, replaced entry by entry, and each
+    parameter is updated in place."""
+    beta1, beta2 = betas
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for i, (p, g) in enumerate(zip(params, grads)):
+        if weight_decay:
+            g = g + weight_decay * p
+        m[i] = beta1 * m[i] + (1.0 - beta1) * g
+        v[i] = beta2 * v[i] + (1.0 - beta2) * (g * g)
+        m_hat = m[i] / bc1
+        v_hat = v[i] / bc2
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)

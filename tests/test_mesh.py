@@ -506,11 +506,47 @@ def test_stacked_coupler_matrix_rejects_any_length_mismatch():
 
 
 # ---------------------------------------------------------------------------
+# certain gates: a pass skips the gating only when every weight is (0, 1)
+
+@pytest.mark.parametrize("entry, value, gated", [
+    (None, None, False),
+    ((1, 0), -0.0, False),               # -0.0 == 0.0
+    ((1, 1), 1.0 - 2.0 ** -53, True),
+    ((2, 0), 5e-324, True),              # subnormal m1
+    ((0, 0), np.nan, True),
+    ((3, 1), np.nan, True),
+], ids=["certain", "negative_zero_m1", "m2_below_one", "subnormal_m1",
+        "nan_m1", "nan_m2"])
+def test_forward_gates_unless_every_weight_is_certain(entry, value, gated):
+    mesh = SuperMesh(6, 2, 2, rng=np.random.default_rng(70))
+    gates = certainty_gates(mesh.n_blocks)
+    if entry is not None:
+        gates[entry] = value
+    with np.errstate(invalid="ignore"):   # a NaN gate makes a NaN weight
+        _, cache = mesh.forward(gates)
+    assert cache["gated"] is gated
+
+
+def test_forward_raises_on_a_zero_norm_beside_a_nan_norm():
+    # block 0's gate (0, 0) zeroes both tiles' U chains; a NaN phase in tile
+    # 0 makes its norms NaN, and tile 1's zero norms still raise
+    mesh = SuperMesh(4, 2, 2, m_rows=8, n_cols=4, rng=np.random.default_rng(71))
+    gates = certainty_gates(mesh.n_blocks)
+    gates[0] = 0.0
+    phi_noise = np.zeros(mesh.phi.shape)
+    phi_noise[0, 0, 1, 0] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(DegeneracyError):
+        mesh.forward(gates, phi_noise=phi_noise)
+
+
+# ---------------------------------------------------------------------------
 # U and V chains of unequal length: the engine runs them as one stack, the
 # shorter chain front-padded with identity factors
 
+# (1, 1) is a chain of one factor: the forward runs no chain matmul and the
+# backward's conjugated partials are empty
 @pytest.mark.parametrize("gates", ["free", "frozen"])
-@pytest.mark.parametrize("n_u, n_v", [(3, 1), (1, 3)])
+@pytest.mark.parametrize("n_u, n_v", [(3, 1), (1, 3), (1, 1)])
 def test_unequal_chains_match_oracle_and_fd(n_u, n_v, gates):
     mesh, task = _fd_mesh(k=8, n_u=n_u, n_v=n_v, m_rows=12, n_cols=8, seed=32)
     if gates == "free":
@@ -837,6 +873,29 @@ def test_backward_reads_the_sigma_of_its_forward(n_u, n_v):
     after = mesh.backward(cache, g_w)
     for name in GRAD_FIELDS:
         np.testing.assert_array_equal(getattr(after, name), held[name])
+
+
+def test_k32_workspace_is_three_stacks_and_the_ptilde_cotangent():
+    # search_k32 shapes: the conjugated factor stack shares the buffer of
+    # the conjugated partials, so the distinct buffers behind the workspace
+    # are g_left, that operand, g_factors (each an (L, P, Q, 2, K, K)
+    # complex stack) and the real (B, K, K) g_P~: 688,128 bytes
+    rng = np.random.default_rng(51)
+    k = 32
+    mesh = SuperMesh(k, 6, 6, n_frozen_u=3, n_frozen_v=3, rng=rng)
+    gates = sample_gates(mesh, 1.0, rng)
+    for _ in range(2):
+        w, cache = mesh.forward(gates)
+        mesh.backward(cache, np.ones_like(w))
+    (ws,) = mesh._workspace.values()
+    bases = {}
+    for buf in ws.values():
+        while buf.base is not None:
+            buf = buf.base
+        bases[id(buf)] = buf
+    stack = 6 * 2 * k * k * 16
+    assert len(bases) == 4
+    assert sum(buf.nbytes for buf in bases.values()) == 3 * stack + 12 * k * k * 8 == 688_128
 
 
 def test_warm_k32_backward_peak_is_under_three_stacks():

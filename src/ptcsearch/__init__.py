@@ -35,7 +35,6 @@ from .pdk import (
 )
 from .permutation import (
     AlmState,
-    SplConfig,
     alm_loss,
     dual_update,
     init_smoothed_identity,

@@ -21,12 +21,12 @@ from .pdk import (
     FootprintConstraint,
     PenaltyConfig,
     block_bounds,
+    block_footprint,
     footprint_exact,
-    footprint_from_counts,
     load_pdk,
     read_yaml,
 )
-from .permutation import SplConfig, perm_matrix_to_array, spl_legalize
+from .permutation import SPL_MAX_ATTEMPTS, perm_matrix_to_array, spl_legalize
 from .search import SearchConfig, SearchSchedule, run_search
 from .tasks import (
     MatrixFitTask,
@@ -55,9 +55,8 @@ def baseline_footprint(name: str, size: int, pdk_name: str):
     key = (name, size)
     if key not in BASELINE_COUNTS:
         raise PtcError(f"unknown baseline '{name}' at size {size}")
-    pdk = load_pdk(pdk_name)
     n_blk, n_dc, n_cr = BASELINE_COUNTS[key]
-    area = footprint_from_counts(pdk, size, n_blk, n_dc, n_cr)
+    area = block_footprint(load_pdk(pdk_name), n_blk * size, n_dc, n_cr)
     return area, round(area / 1000.0)
 
 
@@ -172,10 +171,9 @@ def cmd_legalize(args):
     if len(p_raw) and p_raw.shape[1:] != (k, k):
         raise ConfigError("checkpoint p_raw must be a list of k x k matrices")
     rng = np.random.default_rng(args.seed)
-    cfg = SplConfig(max_attempts=args.max_attempts)
     perms = []
     for raw in p_raw:
-        legal = spl_legalize(raw, cfg, rng)
+        legal = spl_legalize(raw, rng, max_attempts=args.max_attempts)
         perms.append([int(v) for v in perm_matrix_to_array(legal)])
     out_doc = {"k": k, "permutations": perms, "seed": args.seed}
     text = dumps_canonical(out_doc)
@@ -255,7 +253,8 @@ def build_parser():
     p = sub.add_parser("legalize", parents=[seeded],
                        help="run SPL on a relaxed mesh checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--max-attempts", type=_integer_arg(1), default=200)
+    p.add_argument("--max-attempts", type=_integer_arg(1),
+                   default=SPL_MAX_ATTEMPTS)
     p.add_argument("--out")
     p.set_defaults(func=cmd_legalize)
 

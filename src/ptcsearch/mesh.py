@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, DomainError
-from .pdk import BlockCounts, count_crossings, perm_proxy_terms
+from .pdk import BlockCounts, perm_proxy_terms
 from .permutation import (
+    count_crossings,
     hard_permutations,
     init_smoothed_identity,
     perm_array_to_matrix,
@@ -165,7 +166,7 @@ class SuperMesh:
     """
 
     def __init__(self, k, n_u, n_v, m_rows=None, n_cols=None,
-                 n_frozen_u=0, n_frozen_v=0, rng=None):
+                 n_frozen=0, rng=None):
         if rng is None:
             rng = np.random.default_rng(0)
         self.k = k
@@ -186,11 +187,9 @@ class SuperMesh:
         self.p_raw = np.stack([init_smoothed_identity(k) for _ in range(b)])
         self.theta = np.zeros((b, 2))
         self.frozen = np.zeros(b, dtype=bool)
-        # the last frozen blocks of each unitary are always kept
-        for i in range(n_u - n_frozen_u, n_u):
-            self.frozen[i] = True
-        for i in range(b - n_frozen_v, b):
-            self.frozen[i] = True
+        # the last n_frozen blocks of each unitary are always kept
+        self.frozen[n_u - n_frozen:n_u] = True
+        self.frozen[b - n_frozen:] = True
         self.perms_trainable = True
         self.couplers_trainable = True
         self._structure = {}

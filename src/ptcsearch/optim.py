@@ -5,14 +5,15 @@ import numpy as np
 
 from .errors import StateError
 
+BETA1, BETA2 = 0.9, 0.999   # moment decay rates
+EPS = 1e-8                  # denominator guard of the update
+
 
 class Adam:
     """Adam with optional L2 weight decay, updating arrays in place."""
 
-    def __init__(self, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+    def __init__(self, lr=1e-3, weight_decay=0.0):
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self._m = self._v = self._shapes = None
@@ -34,17 +35,17 @@ class Adam:
                              "moments (count or shape)")
         self.t += 1
         lr = self.lr if lr is None else lr
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         # the per-parameter expressions over the flat vectors, in their order
         g = np.concatenate([np.ravel(x) for x in grads])
         if self.weight_decay:
             g += self.weight_decay * np.concatenate([np.ravel(x) for x in params])
-        self._m *= self.beta1
-        self._m += (1.0 - self.beta1) * g
-        self._v *= self.beta2
-        self._v += (1.0 - self.beta2) * (g * g)
-        update = lr * (self._m / bc1) / (np.sqrt(self._v / bc2) + self.eps)
+        self._m *= BETA1
+        self._m += (1.0 - BETA1) * g
+        self._v *= BETA2
+        self._v += (1.0 - BETA2) * (g * g)
+        update = lr * (self._m / bc1) / (np.sqrt(self._v / bc2) + EPS)
         end = 0
         for p in params:
             p -= update[end:end + p.size].reshape(p.shape)

@@ -13,10 +13,12 @@ import numpy as np
 
 from . import schema
 from .errors import ConfigError, DomainError, InfeasibleError
+from .permutation import count_crossings  # noqa: F401 (re-export)
 
 # Straight-through gradient of a block's coupler count in each binarized
 # transmission: the slope of the line through (sqrt(2)/2, 1) and (1, 0).
 _DC_COUNT_SLOPE = 2.0 / (math.sqrt(2.0) - 2.0)
+MIN_TOTAL_BLOCKS = 2   # block_bounds' floor: one block per unitary
 
 
 @dataclass(frozen=True)
@@ -123,23 +125,6 @@ class BlockBounds:
         return self.b_max // 2
 
 
-def count_crossings(perm):
-    """Inversion count of a permutation = minimum adjacent swaps to identity.
-
-    A (..., K) stack of permutations gives the integer array of per-row
-    counts; every row must be a permutation of 0..K-1.
-    """
-    p = np.asarray(perm)
-    if p.ndim < 1:
-        raise DomainError("input is not a permutation of 0..K-1")
-    idx = np.arange(p.shape[-1])
-    if not np.all(np.sort(p, axis=-1) == idx):
-        raise DomainError("input is not a permutation of 0..K-1")
-    inverted = (p[..., :, None] > p[..., None, :]) & (idx[:, None] < idx[None, :])
-    counts = np.count_nonzero(inverted, axis=(-2, -1))
-    return int(counts) if p.ndim == 1 else counts
-
-
 def perm_proxy_terms(p_tildes: np.ndarray):
     """(P~ - I, ||P~ - I||_F^2 per block) of a (B, K, K) relaxed-permutation
     stack: the crossing proxy and the array its gradient scales."""
@@ -152,12 +137,6 @@ def block_footprint(pdk: PdkSpec, k: int, n_dc: int, n_cr: int) -> float:
     """Exact area of one block: a full column of k PS plus its DCs and CRs.
     Counts may be per-block arrays; every area formula goes through here."""
     return k * pdk.f_ps + n_dc * pdk.f_dc + n_cr * pdk.f_cr
-
-
-def footprint_from_counts(pdk: PdkSpec, k: int, n_blocks: int,
-                          n_dc_total: int, n_cr_total: int) -> float:
-    """Exact area from design totals: n_blocks PS columns of K shifters."""
-    return block_footprint(pdk, n_blocks * k, n_dc_total, n_cr_total)
 
 
 def footprint_exact(topology, pdk: PdkSpec) -> float:
@@ -247,18 +226,17 @@ def footprint_penalty(expected_prox: float, expected_exact: float,
     return coeff * expected_prox, coeff
 
 
-def block_bounds(pdk: PdkSpec, k: int, c: FootprintConstraint,
-                 min_total: int = 2) -> BlockBounds:
+def block_bounds(pdk: PdkSpec, k: int, c: FootprintConstraint) -> BlockBounds:
     """Analytical block-count bounds for the footprint window.
 
-    The lower bound is clamped to min_total so each unitary keeps at least
-    one block.
+    The lower bound is clamped to MIN_TOTAL_BLOCKS so each unitary keeps at
+    least one block.
     """
     if k < 2:
         raise DomainError("mesh size must be at least 2")
     f_b_min, f_b_max = block_area_extremes(pdk, k)
     b_max = math.ceil(c.f_max / f_b_min)
-    b_min = max(min_total, math.floor(c.f_min / f_b_max))
+    b_min = max(MIN_TOTAL_BLOCKS, math.floor(c.f_min / f_b_max))
     return BlockBounds(b_min=b_min, b_max=b_max)
 
 

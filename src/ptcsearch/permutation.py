@@ -2,8 +2,8 @@
 
 Birkhoff-polytope reparametrization with row-wise soft projection, the
 lambda-scaled augmented Lagrangian on the l1-vs-l2 gap, dual updates, the
-rho growth schedule, smoothed-identity initialization, and stochastic
-permutation legalization (SPL).
+rho growth schedule, smoothed-identity initialization, crossing (inversion)
+counts, and stochastic permutation legalization (SPL).
 """
 from dataclasses import dataclass
 from typing import Optional
@@ -11,7 +11,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegeneracyError, DomainError, LegalizationError
-from .pdk import count_crossings
+
+EPSILON = 0.05           # reparametrize rounds rows whose max is >= 1 - EPSILON
+RHO_FINAL_RATIO = 1e4    # AlmState.init: rho ends near this multiple of rho0
+SPL_SIGMA = 0.1          # SPL noise std, relative to the max projected entry
+SPL_MAX_ATTEMPTS = 200   # SPL draws before LegalizationError
 
 
 def init_smoothed_identity(k: int) -> np.ndarray:
@@ -22,17 +26,15 @@ def init_smoothed_identity(k: int) -> np.ndarray:
     return np.eye(k) * (0.5 - off) + off
 
 
-def reparametrize(p_raw: np.ndarray, epsilon: float = 0.05):
+def reparametrize(p_raw: np.ndarray):
     """Map a raw matrix, or a (..., K, K) stack of them, into (approximately)
     the Birkhoff polytope.
 
     abs -> column normalization -> row normalization -> row-wise soft
-    projection that hard-rounds rows whose max is >= 1 - epsilon. Returns
+    projection that hard-rounds rows whose max is >= 1 - EPSILON. Returns
     (p_tilde, cache) where the cache drives the backward pass; rounded rows
     carry no gradient.
     """
-    if not 0 < epsilon < 0.5:
-        raise DomainError("epsilon must lie in (0, 0.5)")
     a = np.abs(p_raw)
     col_sums = a.sum(axis=-2, keepdims=True)
     if np.any(col_sums < 1e-300):
@@ -42,7 +44,7 @@ def reparametrize(p_raw: np.ndarray, epsilon: float = 0.05):
     if np.any(row_sums < 1e-300):
         raise DegeneracyError("zero row sum in permutation reparametrization")
     p2 = p1 / row_sums
-    rounded = p2.max(axis=-1) >= 1.0 - epsilon
+    rounded = p2.max(axis=-1) >= 1.0 - EPSILON
     p_tilde = np.where(rounded[..., None], np.round(p2), p2)
     cache = {
         "sign": np.sign(p_raw),
@@ -90,13 +92,13 @@ class AlmState:
 
     @classmethod
     def init(cls, n_blocks: int, k: int, rho0: Optional[float] = None,
-             total_steps: int = 1000, final_ratio: float = 1e4):
+             total_steps: int = 1000):
         """rho0 defaults to 1e-7 * K / 8; gamma is chosen so the per-step
-        rho *= gamma**t schedule reaches ~final_ratio * rho0 over the budget."""
+        rho *= gamma**t schedule reaches ~RHO_FINAL_RATIO * rho0 in total_steps."""
         if rho0 is None:
             rho0 = 1e-7 * k / 8.0
         t = max(1, total_steps)
-        gamma = final_ratio ** (2.0 / (t * (t + 1)))
+        gamma = RHO_FINAL_RATIO ** (2.0 / (t * (t + 1)))
         return cls(
             lambda_row=np.zeros((n_blocks, k)),
             lambda_col=np.zeros((n_blocks, k)),
@@ -177,6 +179,23 @@ def perm_array_to_matrix(perm) -> np.ndarray:
     return m
 
 
+def count_crossings(perm):
+    """Inversion count of a permutation = minimum adjacent swaps to identity.
+
+    A (..., K) stack of permutations gives the integer array of per-row
+    counts; every row must be a permutation of 0..K-1.
+    """
+    p = np.asarray(perm)
+    if p.ndim < 1:
+        raise DomainError("input is not a permutation of 0..K-1")
+    idx = np.arange(p.shape[-1])
+    if not np.all(np.sort(p, axis=-1) == idx):
+        raise DomainError("input is not a permutation of 0..K-1")
+    inverted = (p[..., :, None] > p[..., None, :]) & (idx[:, None] < idx[None, :])
+    counts = np.count_nonzero(inverted, axis=(-2, -1))
+    return int(counts) if p.ndim == 1 else counts
+
+
 def hard_permutations(p_tildes: np.ndarray) -> np.ndarray:
     """Deterministic legal-permutation estimates (B, K) of a (B, K, K) stack
     of relaxed permutations: each block's row argmax where that is already a
@@ -194,21 +213,6 @@ def hard_permutations(p_tildes: np.ndarray) -> np.ndarray:
     return hard
 
 
-@dataclass
-class SplConfig:
-    """Knobs for stochastic permutation legalization."""
-
-    sigma: float = 0.1            # noise std relative to the matrix max entry
-    max_attempts: int = 200
-    crossing_budget: Optional[int] = None  # None: accept the first legal draw
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise DomainError("sigma must be positive")
-        if self.max_attempts < 1:
-            raise DomainError("max_attempts must be at least 1")
-
-
 def _row_argmax_onehot(m: np.ndarray) -> np.ndarray:
     """Hard row-wise softmax limit; ties break to the lowest column index."""
     out = np.zeros_like(m, dtype=float)
@@ -216,12 +220,16 @@ def _row_argmax_onehot(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def spl_legalize(p: np.ndarray, cfg: SplConfig, rng: np.random.Generator) -> np.ndarray:
+def spl_legalize(p: np.ndarray, rng: np.random.Generator,
+                 max_attempts: int = SPL_MAX_ATTEMPTS) -> np.ndarray:
     """Force a relaxed matrix to an exact permutation.
 
     Row-argmax binarization, SVD polar projection away from saddle points,
-    then repeated Gaussian tie-breaking until the row argmax is legal.
+    then up to max_attempts Gaussian tie-breaking draws; returns the first
+    whose row argmax is legal.
     """
+    if max_attempts < 1:
+        raise DomainError("max_attempts must be at least 1")
     p = np.asarray(p, dtype=float)
     if not np.all(np.isfinite(p)):
         raise DomainError("input matrix must be finite")
@@ -230,23 +238,12 @@ def spl_legalize(p: np.ndarray, cfg: SplConfig, rng: np.random.Generator) -> np.
         return hard
     u, _, vh = np.linalg.svd(hard)
     base = np.abs(u @ vh)
-    std = cfg.sigma * max(base.max(), 1e-12)
-    best = None
-    best_crossings = None
-    for _ in range(cfg.max_attempts):
+    std = SPL_SIGMA * max(base.max(), 1e-12)
+    for _ in range(max_attempts):
         candidate = _row_argmax_onehot(base + rng.normal(0.0, std, size=base.shape))
-        if not is_permutation(candidate):
-            continue
-        if cfg.crossing_budget is None:
+        if is_permutation(candidate):
             return candidate
-        crossings = count_crossings(perm_matrix_to_array(candidate))
-        if best is None or crossings < best_crossings:
-            best, best_crossings = candidate, crossings
-        if best_crossings <= cfg.crossing_budget:
-            return best
-    if best is not None:
-        return best
     raise LegalizationError(
-        f"no legal permutation found in {cfg.max_attempts} attempts",
+        f"no legal permutation found in {max_attempts} attempts",
         best_effort=base,
     )

@@ -28,7 +28,6 @@ from .pdk import (
 )
 from .permutation import (
     AlmState,
-    SplConfig,
     alm_loss,
     dual_update,
     is_permutation,
@@ -237,9 +236,8 @@ def search_step(mesh: SuperMesh, task, phase: str, state: SearchState, rng,
 def legalize_mesh(mesh: SuperMesh, rng):
     """Force every crossing layer to a legal permutation and freeze it."""
     p_tildes = mesh.perm_tildes()
-    spl = SplConfig()
     for b in range(mesh.n_blocks):
-        mesh.p_raw[b] = spl_legalize(p_tildes[b], spl, rng)
+        mesh.p_raw[b] = spl_legalize(p_tildes[b], rng)
     mesh.perms_trainable = False
 
 
@@ -349,7 +347,7 @@ def run_search(config: SearchConfig, schedule: SearchSchedule, task, rng):
     n_frozen = min(bounds.per_unitary_min, n_per)
     mesh = SuperMesh(config.k, n_per, n_per,
                      m_rows=task.m_rows, n_cols=task.n_cols,
-                     n_frozen_u=n_frozen, n_frozen_v=n_frozen, rng=rng)
+                     n_frozen=n_frozen, rng=rng)
     state = SearchState(mesh, config, schedule, pdk)
     phase_stream = iter_phases(schedule)
     logs = []

@@ -11,6 +11,8 @@ from .mesh import SuperMesh, certainty_gates
 from .optim import Adam
 from .topology import Topology
 
+BATCH_SIZE = 32   # rows ClassifyTask.sample_batch draws per training step
+
 
 # ---------------------------------------------------------------------------
 # tasks
@@ -47,14 +49,14 @@ class MatrixFitTask:
 
 @dataclass
 class ClassifyTask:
-    """Tiny linear classifier: logits are the real part of W x."""
+    """Tiny linear classifier: logits are the real part of W x. evaluate
+    (cross-entropy) and accuracy read the validation split."""
 
     x_train: np.ndarray
     y_train: np.ndarray
     x_val: np.ndarray
     y_val: np.ndarray
     n_classes: int
-    batch_size: int = 32
 
     @property
     def m_rows(self):
@@ -65,7 +67,7 @@ class ClassifyTask:
         return self.x_train.shape[1]
 
     def sample_batch(self, rng):
-        idx = rng.integers(0, self.x_train.shape[0], size=self.batch_size)
+        idx = rng.integers(0, self.x_train.shape[0], size=BATCH_SIZE)
         return self.x_train[idx], self.y_train[idx]
 
     def _ce(self, w, x, y):
@@ -87,15 +89,12 @@ class ClassifyTask:
         g_w = (g_logits.T @ x).astype(complex)
         return loss, g_w
 
-    def evaluate(self, w, split="val"):
-        x, y = (self.x_val, self.y_val) if split == "val" else (self.x_train, self.y_train)
-        loss, _, probs = self._ce(w, x, y)
-        return loss
+    def evaluate(self, w):
+        return self._ce(w, self.x_val, self.y_val)[0]
 
-    def accuracy(self, w, split="val"):
-        x, y = (self.x_val, self.y_val) if split == "val" else (self.x_train, self.y_train)
-        pred = np.argmax((x @ w.T).real, axis=1)
-        return float(np.mean(pred == y))
+    def accuracy(self, w):
+        pred = np.argmax((self.x_val @ w.T).real, axis=1)
+        return float(np.mean(pred == self.y_val))
 
 
 def random_unitary(k: int, rng: np.random.Generator) -> np.ndarray:
@@ -127,20 +126,6 @@ class NoiseModel:
         check_phase_sigma(self.phase_sigma)
 
 
-def _split_dataset(features, labels, split, seed, n_classes, batch_size=32):
-    rng = np.random.default_rng(seed)
-    n = features.shape[0]
-    order = rng.permutation(n)
-    n_train = int(round(split * n))
-    if not 0 < n_train < n:
-        side = "training" if n_train == 0 else "validation"
-        raise ConfigError(f"split {split} of {n} rows leaves no {side} rows")
-    train, val = order[:n_train], order[n_train:]
-    return ClassifyTask(features[train], labels[train],
-                        features[val], labels[val],
-                        n_classes=n_classes, batch_size=batch_size)
-
-
 def load_dataset(path, fmt="csv", split=0.8, seed=0, labels_path=None):
     """Load a classification task from CSV or IDX files.
 
@@ -159,10 +144,15 @@ def load_dataset(path, fmt="csv", split=0.8, seed=0, labels_path=None):
     span = features.max(axis=0) - lo
     span[span == 0] = 1.0
     features = (features - lo) / span
-    n_classes = int(labels.max()) + 1
-    if labels.min() < 0:
-        raise ConfigError("labels must be nonnegative integers")
-    return _split_dataset(features, labels, split, seed, n_classes)
+    n = features.shape[0]
+    order = np.random.default_rng(seed).permutation(n)
+    n_train = int(round(split * n))
+    if not 0 < n_train < n:
+        side = "training" if n_train == 0 else "validation"
+        raise ConfigError(f"split {split} of {n} rows leaves no {side} rows")
+    train, val = order[:n_train], order[n_train:]
+    return ClassifyTask(features[train], labels[train], features[val],
+                        labels[val], n_classes=int(labels.max()) + 1)
 
 
 def _load_csv(path):
@@ -175,6 +165,8 @@ def _load_csv(path):
         if not header or header[-1].strip() != "label":
             raise ConfigError(f"{path}: last CSV column must be 'label'")
         n_feat = len(header) - 1
+        if n_feat == 0:
+            raise ConfigError(f"{path}: CSV has no feature columns")
         feats, labels = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -187,6 +179,10 @@ def _load_csv(path):
                 labels.append(int(row[-1]))
             except ValueError as exc:
                 raise ConfigError(f"{path}: row {lineno}: {exc}") from exc
+            if not np.all(np.isfinite(feats[-1])):
+                raise ConfigError(f"{path}: row {lineno} has a non-finite feature")
+            if labels[-1] < 0:
+                raise ConfigError(f"{path}: row {lineno} has a negative label")
     if not feats:
         raise ConfigError(f"{path}: no data rows")
     return np.asarray(feats, dtype=float), np.asarray(labels, dtype=int)
@@ -201,16 +197,23 @@ def _load_idx(images_path, labels_path):
         dtype_code, ndim = data[2], data[3]
         if dtype_code != 0x08:
             raise ConfigError(f"{path}: only unsigned-byte IDX supported")
+        if len(data) < 4 + 4 * ndim:
+            raise ConfigError(f"{path}: IDX header shorter than its {ndim} dims")
         dims = struct.unpack(f">{ndim}I", data[4:4 + 4 * ndim])
         arr = np.frombuffer(data, dtype=np.uint8, offset=4 + 4 * ndim)
         if arr.size != int(np.prod(dims)):
             raise ConfigError(f"{path}: IDX payload size mismatch")
+        if ndim == 0 or arr.size == 0:
+            raise ConfigError(f"{path}: IDX file holds no items")
         return arr.reshape(dims)
 
     images = read_idx(images_path)
     labels = read_idx(labels_path)
+    if labels.ndim != 1:
+        raise ConfigError(f"{labels_path}: IDX labels must be 1-D")
     if images.shape[0] != labels.shape[0]:
-        raise ConfigError("IDX image/label counts differ")
+        raise ConfigError(f"{images_path} holds {images.shape[0]} items, "
+                          f"{labels_path} {labels.shape[0]}")
     feats = images.reshape(images.shape[0], -1).astype(float)
     return feats, labels.astype(int)
 
@@ -256,20 +259,22 @@ def clean_metric(mesh, task):
 
 
 def noisy_metric(mesh, task, sigma, rng, trials=20):
-    """Mean and std of the metric over phase-noise draws of std sigma;
-    sigma 0 runs the noiseless pass."""
+    """Mean and std of the metric over phase-noise draws of std sigma; at
+    sigma 0 it is the clean metric with std 0, from one pass and no draw."""
     sigma = check_phase_sigma(sigma)
+    if sigma == 0:
+        return clean_metric(mesh, task), 0.0
     gates = certainty_gates(mesh.n_blocks)
     vals = []
     for _ in range(trials):
-        phi_noise = rng.normal(0.0, sigma, size=mesh.phi.shape) if sigma > 0 else None
+        phi_noise = rng.normal(0.0, sigma, size=mesh.phi.shape)
         w, _ = mesh.forward(gates, binarize=True, phi_noise=phi_noise)
         vals.append(task.evaluate(w))
     return float(np.mean(vals)), float(np.std(vals))
 
 
 def variation_aware_train(topology: Topology, task, noise: NoiseModel,
-                          steps=400, rng=None, lr=5e-3):
+                          steps=400, rng=None):
     """Retrain phi/sigma of a fixed topology with per-pass phase noise.
 
     Returns (mesh, metrics) with clean and noisy validation metrics.
@@ -278,7 +283,7 @@ def variation_aware_train(topology: Topology, task, noise: NoiseModel,
         rng = np.random.default_rng(0)
     mesh = SuperMesh.from_topology(topology, m_rows=task.m_rows,
                                    n_cols=task.n_cols, rng=rng)
-    fit_mesh(mesh, task, steps, rng, lr=lr, noise=noise)
+    fit_mesh(mesh, task, steps, rng, noise=noise)
     clean = clean_metric(mesh, task)
     noisy_mean, noisy_std = noisy_metric(mesh, task, noise.phase_sigma, rng)
     return mesh, {"clean": clean, "noisy": noisy_mean, "noisy_std": noisy_std}
@@ -296,12 +301,5 @@ def robustness_sweep(mesh, task, sigmas, trials, rng):
     if trials < 2:
         raise DomainError("robustness sweep needs at least 2 trials")
     sigmas = [check_phase_sigma(sigma) for sigma in sigmas]
-    rows = []
-    for sigma in sigmas:
-        if sigma == 0:
-            val = clean_metric(mesh, task)
-            rows.append((sigma, val, 0.0))
-        else:
-            mean, std = noisy_metric(mesh, task, sigma, rng, trials=trials)
-            rows.append((sigma, mean, std))
-    return rows
+    return [(sigma, *noisy_metric(mesh, task, sigma, rng, trials=trials))
+            for sigma in sigmas]

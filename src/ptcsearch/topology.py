@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .pdk import count_crossings
+from .permutation import count_crossings
 
 
 def coupler_offset(block_index_in_unitary: int) -> int:

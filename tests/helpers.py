@@ -1,5 +1,6 @@
 """Shared builders and oracles for the test suite."""
 import math
+import struct
 
 import numpy as np
 
@@ -72,7 +73,7 @@ def make_checkable_mesh(k=8, n_u=2, n_v=2, m_rows=None, n_cols=None, seed=0,
     the last block of each unitary."""
     rng = np.random.default_rng(seed)
     mesh = SuperMesh(k, n_u, n_v, m_rows=m_rows, n_cols=n_cols,
-                     n_frozen_u=n_frozen, n_frozen_v=n_frozen, rng=rng)
+                     n_frozen=n_frozen, rng=rng)
     for b in range(mesh.n_blocks):
         t = mesh.t_latent[b]
         t[:] = np.sign(t) * (0.2 + 0.7 * np.abs(t))
@@ -177,3 +178,48 @@ def fd_check(get_value, param, analytic, coords, h=1e-5):
 
 def rel_err(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-12)
+
+
+def idx_bytes(arr):
+    """An unsigned-byte IDX file holding arr."""
+    arr = np.asarray(arr, dtype=np.uint8)
+    header = struct.pack(">BBBB", 0, 0, 0x08, arr.ndim)
+    return header + struct.pack(f">{arr.ndim}I", *arr.shape) + arr.tobytes()
+
+
+_MALFORMED_CSV = {
+    "csv_nan_feature": "f0,f1,label\n0.1,0.2,0\n0.3,nan,1\n0.5,0.6,0\n",
+    "csv_negative_label": "f0,f1,label\n0.1,0.2,0\n0.3,0.4,-1\n0.5,0.6,0\n",
+    "csv_no_features": "label\n0\n1\n0\n1\n",
+}
+MALFORMED_DATASETS = ["idx_zero_items", "idx_short_header", "idx_labels_not_1d",
+                      "idx_count_mismatch", *_MALFORMED_CSV]
+
+
+def write_malformed_dataset(tmp_path, case):
+    """Write the files of one MALFORMED_DATASETS case under tmp_path.
+
+    Returns (path, fmt, labels_path, named): the load_dataset arguments and
+    the file whose name the resulting error must carry.
+    """
+    if case in _MALFORMED_CSV:
+        path = tmp_path / "data.csv"
+        path.write_text(_MALFORMED_CSV[case])
+        return str(path), "csv", None, path
+    images = np.arange(16, dtype=np.uint8).reshape(4, 2, 2)
+    labels = np.array([0, 1, 0, 1])
+    images_path, labels_path = tmp_path / "images.idx", tmp_path / "labels.idx"
+    named = images_path
+    if case == "idx_zero_items":
+        images, labels = images[:0], labels[:0]
+    elif case == "idx_labels_not_1d":
+        labels, named = labels[:, None], labels_path
+    elif case == "idx_count_mismatch":
+        labels = labels[:3]
+    images_bytes = idx_bytes(images)
+    if case == "idx_short_header":
+        # ndim says 3, so 12 dimension bytes, but only 8 follow the magic
+        images_bytes = images_bytes[:12]
+    images_path.write_bytes(images_bytes)
+    labels_path.write_bytes(idx_bytes(labels))
+    return str(images_path), "idx", str(labels_path), named

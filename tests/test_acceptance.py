@@ -26,7 +26,6 @@ from ptcsearch import (
     MatrixFitTask,
     NoiseModel,
     PenaltyConfig,
-    SplConfig,
     SuperMesh,
     alm_loss,
     count_crossings,
@@ -143,7 +142,7 @@ def test_acceptance_4_permutation_machinery():
             total += 1
             p = rng.uniform(0.0, 1.0, (k, k))
             try:
-                out = spl_legalize(p, SplConfig(), rng)
+                out = spl_legalize(p, rng)
             except LegalizationError:
                 failures += 1
                 continue

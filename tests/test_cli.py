@@ -10,7 +10,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_topology
+from helpers import MALFORMED_DATASETS, random_topology, write_malformed_dataset
 from ptcsearch import ConfigError, footprint_exact, load_pdk
 from ptcsearch import cli as cli_module
 from ptcsearch import search as search_module
@@ -342,6 +342,29 @@ def test_eval_classify_task_without_path_gives_json_error(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", MALFORMED_DATASETS)
+def test_eval_malformed_dataset_gives_json_error_before_training(
+        tmp_path, capsys, monkeypatch, case):
+    net = _emit_netlist(tmp_path)
+    path, fmt, labels_path, named = write_malformed_dataset(tmp_path, case)
+    task_doc = {"kind": "classify", "path": path, "format": fmt}
+    if labels_path is not None:
+        task_doc["labels_path"] = labels_path
+    task = tmp_path / "task.yaml"
+    task.write_text(yaml.safe_dump(task_doc))
+    monkeypatch.setattr(cli_module, "variation_aware_train", _no_training)
+    out = tmp_path / "sweep.csv"
+    code = main(["eval", "--netlist", str(net), "--seed", "3",
+                 "--task", str(task), "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err.strip())
+    assert record["error"] == "ConfigError"
+    assert str(named) in record["message"]
+    assert not out.exists()
+
+
 def test_eval_command_rejects_tampered_netlist(tmp_path, capsys):
     net = _emit_netlist(tmp_path, seed=6)
     doc = read_netlist(net)
@@ -523,6 +546,42 @@ def test_legalize_command(tmp_path, capsys):
     doc = json.loads(out.read_text())
     for perm in doc["permutations"]:
         assert sorted(perm) == [0, 1, 2, 3]
+
+
+def _legalize_saddle(tmp_path, capsys, seed, *budget):
+    """Run legalize on a one-matrix 2 x 2 saddle checkpoint; returns (exit
+    code, captured output, output path)."""
+    checkpoint = tmp_path / "saddle.json"
+    checkpoint.write_text(json.dumps({"k": 2, "p_raw": [[[0.5, 0.5],
+                                                         [0.5, 0.5]]]}))
+    out = tmp_path / f"perms-{seed}.json"
+    code = main(["legalize", "--checkpoint", str(checkpoint),
+                 "--seed", str(seed), "--out", str(out), *budget])
+    return code, capsys.readouterr(), out
+
+
+def test_legalize_one_attempt_fails_some_saddle_seeds_with_an_error_record(
+        tmp_path, capsys):
+    codes = []
+    for seed in range(10):
+        code, captured, out = _legalize_saddle(tmp_path, capsys, seed,
+                                               "--max-attempts", "1")
+        codes.append(code)
+        if code == 0:
+            assert sorted(json.loads(out.read_text())["permutations"][0]) == [0, 1]
+        else:
+            assert code == 1
+            assert captured.out == ""
+            assert json.loads(captured.err.strip())["error"] == "LegalizationError"
+            assert not out.exists()
+    assert 1 in codes
+
+
+def test_legalize_default_budget_resolves_every_saddle_seed(tmp_path, capsys):
+    for seed in range(10):
+        code, _, out = _legalize_saddle(tmp_path, capsys, seed)
+        assert code == 0
+        assert sorted(json.loads(out.read_text())["permutations"][0]) == [0, 1]
 
 
 def _failing_replace(src, dst):

@@ -882,7 +882,7 @@ def test_k32_workspace_is_three_stacks_and_the_ptilde_cotangent():
     # complex stack) and the real (B, K, K) g_P~: 688,128 bytes
     rng = np.random.default_rng(51)
     k = 32
-    mesh = SuperMesh(k, 6, 6, n_frozen_u=3, n_frozen_v=3, rng=rng)
+    mesh = SuperMesh(k, 6, 6, n_frozen=3, rng=rng)
     gates = sample_gates(mesh, 1.0, rng)
     for _ in range(2):
         w, cache = mesh.forward(gates)
@@ -905,7 +905,7 @@ def test_warm_k32_backward_peak_is_under_three_stacks():
     # complex array
     rng = np.random.default_rng(50)
     k = 32
-    mesh = SuperMesh(k, 6, 6, n_frozen_u=3, n_frozen_v=3, rng=rng)
+    mesh = SuperMesh(k, 6, 6, n_frozen=3, rng=rng)
     mesh.theta = rng.normal(size=mesh.theta.shape)
     gates = sample_gates(mesh, 1.0, rng)
     _, cache = mesh.forward(gates)

@@ -40,7 +40,6 @@ from ptcsearch.pdk import (
     BlockCounts,
     block_area_extremes,
     block_footprint,
-    footprint_from_counts,
     perm_proxy_terms,
 )
 from ptcsearch.mesh import certainty_gates, quantize_coupler
@@ -206,7 +205,8 @@ BASELINES = [
 
 @pytest.mark.parametrize("pdk,k,blk,dc,cr,area,rounded", BASELINES)
 def test_footprint_from_published_counts(pdk, k, blk, dc, cr, area, rounded):
-    value = footprint_from_counts(load_pdk(pdk), k, blk, dc, cr)
+    # blk PS columns of K shifters each, plus the design's DC and CR totals
+    value = block_footprint(load_pdk(pdk), blk * k, dc, cr)
     assert value == area
     assert round(value / 1000.0) == rounded
 

@@ -10,7 +10,6 @@ from ptcsearch import (
     AlmState,
     DegeneracyError,
     DomainError,
-    SplConfig,
     alm_loss,
     dual_update,
     init_smoothed_identity,
@@ -46,14 +45,9 @@ def test_reparametrize_all_ones_2x2():
 
 def test_reparametrize_rounds_confident_row():
     p = np.array([[0.97, 0.03], [0.03, 0.97]])
-    out, cache = reparametrize(p, epsilon=0.05)
+    out, cache = reparametrize(p)
     assert cache["rounded"].all()
     assert np.array_equal(out, np.eye(2))
-
-
-def test_reparametrize_epsilon_bounds():
-    with pytest.raises(DomainError):
-        reparametrize(np.ones((2, 2)), epsilon=0.6)
 
 
 def test_reparametrize_zero_column_degenerate():
@@ -76,14 +70,14 @@ def test_reparametrize_nonneg_and_column_normalized_before_projection(seed):
 
 def test_reparametrize_backward_zeroes_rounded_rows():
     p = np.array([[0.99, 0.01], [0.2, 0.8]])
-    out, cache = reparametrize(p, epsilon=0.05)
+    out, cache = reparametrize(p)
     assert cache["rounded"][0] and not cache["rounded"][1]
     g = reparametrize_backward(cache, np.ones((2, 2)))
     # a rounded row contributes nothing upstream
     h = 1e-6
 
     def value(mat):
-        return float(reparametrize(mat, epsilon=0.05)[0].sum())
+        return float(reparametrize(mat)[0].sum())
 
     for i in range(2):
         for j in range(2):
@@ -333,21 +327,19 @@ def test_perm_array_round_trip():
 
 def test_spl_fixed_point():
     p = perm_array_to_matrix([2, 0, 3, 1])
-    out = spl_legalize(p, SplConfig(), np.random.default_rng(0))
+    out = spl_legalize(p, np.random.default_rng(0))
     assert np.array_equal(out, p)
 
 
 def test_spl_resolves_2x2_saddle():
-    out = spl_legalize(np.full((2, 2), 0.5), SplConfig(),
-                       np.random.default_rng(1))
+    out = spl_legalize(np.full((2, 2), 0.5), np.random.default_rng(1))
     assert is_permutation(out)
 
 
 def test_spl_saddle_reaches_both_permutations():
     seen = set()
     for seed in range(1000):
-        out = spl_legalize(np.full((2, 2), 0.5), SplConfig(),
-                           np.random.default_rng(seed))
+        out = spl_legalize(np.full((2, 2), 0.5), np.random.default_rng(seed))
         seen.add(tuple(perm_matrix_to_array(out)))
     assert seen == {(0, 1), (1, 0)}
 
@@ -358,7 +350,7 @@ def test_spl_random_matrices_legal_or_declared_failure():
     for _ in range(100):
         p = rng.uniform(0.0, 1.0, (6, 6))
         try:
-            out = spl_legalize(p, SplConfig(), rng)
+            out = spl_legalize(p, rng)
         except LegalizationError:
             failures += 1
             continue
@@ -367,12 +359,11 @@ def test_spl_random_matrices_legal_or_declared_failure():
 
 
 def test_spl_exhausted_attempts_raise_with_best_effort():
-    cfg = SplConfig(max_attempts=1)
     saddle = np.full((2, 2), 0.5)
     failed = False
     for seed in range(100):
         try:
-            spl_legalize(saddle, cfg, np.random.default_rng(seed))
+            spl_legalize(saddle, np.random.default_rng(seed), max_attempts=1)
         except LegalizationError as exc:
             assert exc.best_effort.shape == (2, 2)
             failed = True
@@ -380,20 +371,10 @@ def test_spl_exhausted_attempts_raise_with_best_effort():
     assert failed
 
 
-def test_spl_crossing_budget_prefers_fewer_crossings():
-    rng = np.random.default_rng(3)
-    p = np.full((4, 4), 0.25)
-    free = spl_legalize(p, SplConfig(crossing_budget=0, max_attempts=200), rng)
-    assert is_permutation(free)
-    from ptcsearch import count_crossings
-    assert count_crossings(perm_matrix_to_array(free)) == 0
-
-
 def test_spl_config_validation():
-    with pytest.raises(DomainError):
-        SplConfig(sigma=0.0)
-    with pytest.raises(DomainError):
-        SplConfig(max_attempts=0)
+    # checked before the input, so even an already-legal matrix is refused
+    with pytest.raises(DomainError, match="max_attempts"):
+        spl_legalize(np.eye(3), np.random.default_rng(0), max_attempts=0)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +404,7 @@ def _recover_once(seed, k=8, steps=400):
         dual_update(state, [pt_new])
         rho_schedule(state)
     pt, _ = reparametrize(p_raw)
-    legal = spl_legalize(pt, SplConfig(), rng)
+    legal = spl_legalize(pt, rng)
     final_loss = loss_and_grad(legal)[0]
     planted_loss = loss_and_grad(p_star)[0]
     return final_loss <= 1.05 * planted_loss

@@ -96,8 +96,7 @@ def test_gumbel_backward_matches_fd():
 
 
 def test_sample_gates_consumes_rng_like_per_block_loop():
-    mesh = SuperMesh(8, 3, 3, n_frozen_u=1, n_frozen_v=1,
-                     rng=np.random.default_rng(3))
+    mesh = SuperMesh(8, 3, 3, n_frozen=1, rng=np.random.default_rng(3))
     mesh.theta = np.random.default_rng(4).normal(size=mesh.theta.shape)
     rng_loop, rng_batch = np.random.default_rng(5), np.random.default_rng(5)
     loop = np.stack([gumbel_sample(mesh.theta[b], 0.8, rng_loop,
@@ -166,7 +165,7 @@ def test_alternation_ratio_three_to_one():
 def _small_setup(seed=0):
     k = 8
     rng = np.random.default_rng(seed)
-    mesh = SuperMesh(k, 2, 2, n_frozen_u=1, n_frozen_v=1, rng=rng)
+    mesh = SuperMesh(k, 2, 2, n_frozen=1, rng=rng)
     pdk = load_pdk("amf")
     config = SearchConfig(k=k, pdk=pdk,
                           constraint=FootprintConstraint(240_000.0, 300_000.0),
@@ -371,7 +370,7 @@ def test_alm_budget_counts_pre_spl_weight_steps(spe, warmup, spl, n_steps):
 
 def _legal_mesh(k=8, n_u=2, n_v=2, n_frozen=0, seed=0):
     """Mesh with exact identity permutations and no couplers placed."""
-    mesh = SuperMesh(k, n_u, n_v, n_frozen_u=n_frozen, n_frozen_v=n_frozen,
+    mesh = SuperMesh(k, n_u, n_v, n_frozen=n_frozen,
                      rng=np.random.default_rng(seed))
     for b in range(mesh.n_blocks):
         mesh.p_raw[b] = perm_array_to_matrix(np.arange(k))

@@ -1,9 +1,17 @@
 """Tasks, datasets, phase noise, fixed-structure training, and robustness
 evaluation."""
+import re
+
 import numpy as np
 import pytest
 
-from helpers import blob_task, random_topology, rel_err
+from helpers import (
+    MALFORMED_DATASETS,
+    blob_task,
+    random_topology,
+    rel_err,
+    write_malformed_dataset,
+)
 from ptcsearch import (
     ConfigError,
     DomainError,
@@ -148,7 +156,8 @@ def test_variation_aware_reduces_to_plain_training_at_zero_sigma():
     _, b = variation_aware_train(topo, task, NoiseModel(0.0), steps=50,
                                  rng=np.random.default_rng(0))
     assert a == b
-    assert a["noisy"] == pytest.approx(a["clean"])
+    assert a["noisy"] == a["clean"]
+    assert a["noisy_std"] == 0.0
 
 
 def test_variation_aware_deterministic():
@@ -224,6 +233,27 @@ def test_sweep_row_count_matches_grid():
     rows = robustness_sweep(mesh, task, [0.0, 0.01, 0.02, 0.04, 0.08],
                             trials=20, rng=np.random.default_rng(2))
     assert len(rows) == 5
+
+
+def test_noisy_metric_at_zero_sigma_runs_one_forward_pass_and_no_draw(
+        monkeypatch):
+    topo = random_topology(8, 2, 2, np.random.default_rng(13))
+    task = MatrixFitTask(random_unitary(8, np.random.default_rng(7)))
+    mesh = SuperMesh.from_topology(topo, rng=np.random.default_rng(0))
+    clean = clean_metric(mesh, task)
+    forward = SuperMesh.forward
+    calls = []
+
+    def counting_forward(self, *args, **kwargs):
+        calls.append(1)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(SuperMesh, "forward", counting_forward)
+    rng = np.random.default_rng(1)
+    before = rng.bit_generator.state
+    assert noisy_metric(mesh, task, 0.0, rng) == (clean, 0.0)
+    assert len(calls) == 1
+    assert rng.bit_generator.state == before
 
 
 @pytest.mark.parametrize("bad", [-0.01, float("nan"), float("inf")])
@@ -357,6 +387,13 @@ def test_idx_bad_magic(tmp_path):
 def test_idx_requires_labels_path(tmp_path):
     with pytest.raises(ConfigError, match="labels_path"):
         load_dataset(str(tmp_path / "x.idx"), fmt="idx")
+
+
+@pytest.mark.parametrize("case", MALFORMED_DATASETS)
+def test_malformed_dataset_is_a_config_error_naming_the_file(tmp_path, case):
+    path, fmt, labels_path, named = write_malformed_dataset(tmp_path, case)
+    with pytest.raises(ConfigError, match=re.escape(str(named))):
+        load_dataset(path, fmt=fmt, labels_path=labels_path)
 
 
 def test_unknown_format_rejected(tmp_path):

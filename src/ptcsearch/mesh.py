@@ -238,8 +238,7 @@ class SuperMesh:
         for b, blk in enumerate(topology.blocks):
             mesh.offsets[b] = blk.offset
             mesh.p_raw[b] = perm_array_to_matrix(blk.perm)
-            if blk.phases is not None:
-                mesh.phi[:, :, b, :] = blk.phases
+            mesh.phi[:, :, b, :] = blk.phases
         # the slot counts follow the offsets, which may differ from the
         # default interleave: rebuild the flat latents to match
         mesh.t_flat = np.concatenate([np.where(blk.coupler_mask, -1.0, 1.0)
@@ -261,14 +260,13 @@ class SuperMesh:
 
     def perm_tildes(self):
         """The (B, K, K) relaxed permutations P~ (cached, read-only)."""
-        return self._perm_structure()["p_tildes"]
+        return self._structure_cache()["p_tildes"]
 
     def footprint_counts(self) -> BlockCounts:
         """Per-block device counts for the footprint terms (cached,
         read-only): discrete counts from the binarized couplers and the hard
         permutation estimates, and the crossing proxy terms."""
-        c = self._perm_structure()
-        self._coupler_structure()
+        c = self._structure_cache()
         return BlockCounts(n_dc=c["n_dc"], n_cr=c["n_cr"], p_diff=c["p_diff"],
                            p_sqdist=c["p_sqdist"], slot_block=c["slots"][0])
 
@@ -276,44 +274,39 @@ class SuperMesh:
     #
     # The relaxed permutations P~ and the coupler columns T stay fixed over
     # runs of steps: arch steps, the forward after a dual update, P~ after
-    # SPL, and both over a whole fixed-topology retrain. Each part is rebuilt
-    # only when its inputs differ by value from a copy taken at its last
-    # build, so in-place edits of p_raw, t_flat or offsets are seen.
-    # Everything the footprint terms count is built with its part, so a step
-    # that reuses a part recounts nothing. The cached arrays are read-only
-    # and are replaced, not written, on a rebuild, so a forward cache holding
-    # them stays valid.
+    # SPL, and both over a whole fixed-topology retrain. One rule decides
+    # every rebuild, by value against copies taken at the last build, so
+    # in-place edits are seen: the P~ part when p_raw differs, the T part
+    # when t_flat or the offsets do, and the product P~T whenever either
+    # part is rebuilt (the next forward needs it then). T is keyed on the
+    # latents, not their binarized values, so the builds per step follow the
+    # schedule, not the data. Everything the footprint terms count is built
+    # with its part, so a step that reuses a part recounts nothing. The
+    # cached arrays are read-only and are replaced, not written, on a
+    # rebuild, so a forward cache holding them stays valid.
 
-    def _perm_structure(self):
-        """The P~ part, keyed on p_raw: P~, the reparametrize cache, the
-        crossing counts of the hard permutation estimates, and the proxy
-        terms P~ - I and ||P~ - I||_F^2. Returns the cache dict."""
+    def _structure_cache(self):
+        """The block structure, rebuilt by the rule above; returns the cache
+        dict. The P~ part: P~, the reparametrize cache, the crossing counts
+        of the hard permutation estimates, and the proxy terms P~ - I and
+        ||P~ - I||_F^2. The T part: the two nonzeros of each column of the
+        coupler columns T of the binarized transmissions, the flat slot and
+        partner indices, the binarized transmissions and the discrete
+        coupler counts. The product: P~T, its conjugate and the partner
+        columns P~[:, p(j)]."""
         c = self._structure
-        if not _same_values(c.get("p_raw"), self.p_raw):
+        offsets = list(self.offsets)
+        perm_stale = not _same_values(c.get("p_raw"), self.p_raw)
+        coupler_stale = not (c.get("offsets") == offsets
+                             and _same_values(c.get("t_raw"), self.t_flat))
+        if perm_stale:
             p_tildes, p_cache = reparametrize(self.p_raw)
             p_diff, p_sqdist = perm_proxy_terms(p_tildes)
             c.update(p_raw=self.p_raw.copy(), p_tildes=_read_only(p_tildes),
                      p_cache={n: _read_only(a) for n, a in p_cache.items()},
                      n_cr=_read_only(count_crossings(hard_permutations(p_tildes))),
                      p_diff=_read_only(p_diff), p_sqdist=_read_only(p_sqdist))
-        return c
-
-    def _coupler_structure(self):
-        """The T part, keyed on the t_flat values and the offsets: the two
-        nonzeros of each column of the coupler columns T of the binarized
-        transmissions, the flat slot and partner indices, the binarized
-        transmissions and the discrete coupler counts. Returns the cache
-        dict.
-
-        The key is the latents themselves, not their binarized values, so
-        during a search T is rebuilt after every coupler update rather than
-        on every coupler flip: the builds per step follow the schedule, not
-        the data.
-        """
-        c = self._structure
-        offsets = list(self.offsets)
-        if not (c.get("offsets") == offsets
-                and _same_values(c.get("t_raw"), self.t_flat)):
+        if coupler_stale:
             t_raw = self.t_flat.astype(float)
             t_q = quantize_coupler(t_raw)
             diag, cross = coupler_matrix(t_q, self.k, offsets)
@@ -324,6 +317,11 @@ class SuperMesh:
                      slots=(blk, a), partner=_partner_index(self.k, tuple(offsets)),
                      n_dc=_read_only(np.bincount(blk[t_raw < 0.0],
                                                  minlength=len(offsets))))
+        if perm_stale or coupler_stale:
+            pt_t, p_partner = _two_entry_product(c["p_tildes"], *c["t_cols"],
+                                                 c["partner"])
+            c.update(pt_t=_read_only(pt_t), pt_conj=_read_only(pt_t.conj()),
+                     p_partner=_read_only(p_partner))
         return c
 
     def _backward_workspace(self, factors_shape):
@@ -363,20 +361,6 @@ class SuperMesh:
             }
         return ws
 
-    def _binarized_product(self, c):
-        """The (B, K, K) product P~T of the cached parts, its conjugate and
-        the partner columns P~[:, p(j)] (read-only). They are rebuilt when the
-        P~ or T columns they were formed from are replaced; those are never
-        written, so an identity check is enough."""
-        p_tildes, t_cols = c["p_tildes"], c["t_cols"]
-        formed_from = c.get("pt_t_of", (None, None))
-        if formed_from[0] is not p_tildes or formed_from[1] is not t_cols[0]:
-            pt_t, p_partner = _two_entry_product(p_tildes, *t_cols, c["partner"])
-            c.update(pt_t=_read_only(pt_t), pt_conj=_read_only(pt_t.conj()),
-                     p_partner=_read_only(p_partner),
-                     pt_t_of=(p_tildes, t_cols[0]))
-        return c["pt_t"], c["pt_conj"], c["p_partner"]
-
     # -- forward / backward -------------------------------------------------
     #
     # All P x Q tiles and all B blocks run at once. The block structure cache
@@ -414,12 +398,10 @@ class SuperMesh:
         m_weights = np.asarray(m_weights)
         phi_eff = self.phi if phi_noise is None else self.phi + phi_noise
         r = np.exp(-1j * phi_eff)                          # (P, Q, B, K)
-        c = self._perm_structure()
-        self._coupler_structure()
+        c = self._structure_cache()
         p_tildes, t_eff, t_cols = c["p_tildes"], c["t_q"], c["t_cols"]
-        if binarize:
-            pt_t, pt_conj, p_partner = self._binarized_product(c)  # (B, K, K)
-        else:   # raw-latent columns and their product, formed here, not cached
+        pt_t, pt_conj, p_partner = c["pt_t"], c["pt_conj"], c["p_partner"]
+        if not binarize:   # raw-latent columns and their product, not cached
             t_eff = c["t_raw"]
             t_cols = coupler_matrix(t_eff, k, c["offsets"])
             pt_t, p_partner = _two_entry_product(p_tildes, *t_cols, c["partner"])

@@ -349,21 +349,16 @@ def run_search(config: SearchConfig, schedule: SearchSchedule, task, rng):
                      m_rows=task.m_rows, n_cols=task.n_cols,
                      n_frozen=n_frozen, rng=rng)
     state = SearchState(mesh, config, schedule, pdk)
-    phase_stream = iter_phases(schedule)
     logs = []
-    for epoch in range(schedule.total_epochs):
-        if epoch == schedule.spl_epoch:
-            legalize_mesh(mesh, rng)
-            # the structure group shrinks to the couplers: restart its moments
-            state.opt_struct = Adam(lr=schedule.lr)
-        state.tau = schedule.tau_at(epoch)
-        epoch_losses = None
-        phase = "weights"
-        for _ in range(schedule.steps_per_epoch):
-            _, _, phase = next(phase_stream)
-            epoch_losses = search_step(mesh, task, phase, state, rng)
-        record = {"epoch": epoch, "phase": phase, "tau": state.tau}
-        record.update(epoch_losses)
-        logs.append(record)
+    for epoch, step, phase in iter_phases(schedule):
+        if step == 0:
+            if epoch == schedule.spl_epoch:
+                legalize_mesh(mesh, rng)
+                # the structure group shrinks to the couplers: restart its moments
+                state.opt_struct = Adam(lr=schedule.lr)
+            state.tau = schedule.tau_at(epoch)
+        losses = search_step(mesh, task, phase, state, rng)
+        if step == schedule.steps_per_epoch - 1:
+            logs.append({"epoch": epoch, "phase": phase, "tau": state.tau, **losses})
     topology = sample_submesh(mesh, config.constraint, pdk, rng)
     return mesh, topology, logs

@@ -131,6 +131,8 @@ def load_dataset(path, fmt="csv", split=0.8, seed=0, labels_path=None):
 
     CSV schema: header f0..fn,label; decimal features, integer labels.
     IDX: standard big-endian magic-number layout; labels_path required.
+    Rows are split at random, then min-max scaled by the training rows'
+    min and max, so validation features may fall outside [0, 1].
     """
     if fmt == "csv":
         features, labels = _load_csv(path)
@@ -140,10 +142,6 @@ def load_dataset(path, fmt="csv", split=0.8, seed=0, labels_path=None):
         features, labels = _load_idx(path, labels_path)
     else:
         raise ConfigError(f"unknown dataset format '{fmt}'")
-    lo = features.min(axis=0)
-    span = features.max(axis=0) - lo
-    span[span == 0] = 1.0
-    features = (features - lo) / span
     n = features.shape[0]
     order = np.random.default_rng(seed).permutation(n)
     n_train = int(round(split * n))
@@ -151,7 +149,11 @@ def load_dataset(path, fmt="csv", split=0.8, seed=0, labels_path=None):
         side = "training" if n_train == 0 else "validation"
         raise ConfigError(f"split {split} of {n} rows leaves no {side} rows")
     train, val = order[:n_train], order[n_train:]
-    return ClassifyTask(features[train], labels[train], features[val],
+    x_train, x_val = features[train], features[val]
+    lo = x_train.min(axis=0)
+    span = x_train.max(axis=0) - lo
+    span[span == 0] = 1.0
+    return ClassifyTask((x_train - lo) / span, labels[train], (x_val - lo) / span,
                         labels[val], n_classes=int(labels.max()) + 1)
 
 

@@ -1,7 +1,7 @@
 """Discrete, legalized PTC designs.
 
 A topology is the search result alpha: per-unitary block counts, coupler
-placements, and crossing permutations, plus an optional phase snapshot.
+placements, and crossing permutations, plus a phase snapshot.
 """
 from dataclasses import dataclass, field
 
@@ -37,6 +37,8 @@ class TopoBlock:
         self.phases = np.asarray(self.phases, dtype=float)
         self.coupler_mask = np.asarray(self.coupler_mask, dtype=bool)
         self.perm = np.asarray(self.perm, dtype=int)
+        if self.phases.ndim != 1:
+            raise DomainError("ps must be a (K,) phase vector")
         k = self.phases.shape[0]
         if sorted(self.perm.tolist()) != list(range(k)):
             raise DomainError("cr not a permutation of 0..K-1")

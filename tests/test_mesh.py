@@ -751,6 +751,17 @@ def test_from_topology_rebuilds_the_flat_latents_for_its_offsets():
     np.testing.assert_allclose(w, oracle, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("phases", [None, 0.5, np.zeros((4, 4)), np.zeros((4, 1)),
+                                    np.zeros((1, 4))],
+                         ids=["none", "scalar", "k_by_k", "column", "row"])
+def test_topo_block_rejects_a_phase_array_that_is_not_a_vector(phases):
+    with pytest.raises(DomainError, match="phase vector"):
+        TopoBlock(phases=phases, coupler_mask=[True, False], offset=0,
+                  perm=[1, 0, 3, 2])
+    TopoBlock(phases=np.zeros(4), coupler_mask=[True, False], offset=0,
+              perm=[1, 0, 3, 2])
+
+
 def test_t_latent_is_a_tuple_of_views_into_t_flat():
     mesh, _ = _fd_mesh(seed=31)
     with pytest.raises(TypeError):

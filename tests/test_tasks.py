@@ -13,6 +13,7 @@ from helpers import (
     write_malformed_dataset,
 )
 from ptcsearch import (
+    ClassifyTask,
     ConfigError,
     DomainError,
     MatrixFitTask,
@@ -78,6 +79,31 @@ def test_classify_gradient_matches_fd():
             numeric = (task.loss_and_grad(wp, batch)[0]
                        - task.loss_and_grad(wm, batch)[0]) / (2 * h)
             assert rel_err(g[i, j].real, numeric) < 1e-4
+
+
+def _two_class_task(x_val, y_val):
+    """A 2-feature, 2-class task. Its training split holds the validation
+    rows with their features swapped, which scores a different accuracy in
+    every case below, so a read of the wrong split shows."""
+    x_val = np.asarray(x_val, dtype=float)
+    return ClassifyTask(x_train=x_val[:, ::-1].copy(), y_train=np.asarray(y_val),
+                        x_val=x_val, y_val=np.asarray(y_val), n_classes=2)
+
+
+# logits Re(W x) = x: class 0 when x0 > x1, class 1 when x1 > x0; the
+# imaginary part of W is not read
+ACCURACY_W = np.eye(2) + 9j * np.array([[0.0, 1.0], [1.0, 0.0]])
+ACCURACY_X = [[2.0, 1.0], [0.0, 3.0], [1.0, 1.0], [-1.0, -4.0]]
+
+
+@pytest.mark.parametrize("y_val, expected", [
+    ([0, 1, 0, 0], 1.0),     # a tie goes to the first class, class 0
+    ([0, 1, 1, 0], 0.75),    # so a tie row labelled 1 is wrong
+    ([1, 0, 1, 1], 0.0),     # every row wrong
+], ids=["all_right", "tie_row_wrong", "all_wrong"])
+def test_classify_accuracy_on_the_validation_split(y_val, expected):
+    task = _two_class_task(ACCURACY_X, y_val)
+    assert task.accuracy(ACCURACY_W) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +319,32 @@ def test_sweep_of_a_topology_raises_state_error():
 # ---------------------------------------------------------------------------
 # dataset loading
 
-def _write_csv(path, n_rows=30, n_feat=8, n_classes=3, seed=0):
+def _csv_rows(n_rows=30, n_feat=8, n_classes=3, seed=0):
+    """(features, labels) of a random dataset, features rounded as written."""
     rng = np.random.default_rng(seed)
-    header = ",".join(f"f{i}" for i in range(n_feat)) + ",label"
-    lines = [header]
+    feats, labels = [], []
     for _ in range(n_rows):
-        feats = rng.uniform(-2.0, 5.0, n_feat)
-        label = int(rng.integers(0, n_classes))
-        lines.append(",".join(f"{v:.6f}" for v in feats) + f",{label}")
+        feats.append(rng.uniform(-2.0, 5.0, n_feat))
+        labels.append(int(rng.integers(0, n_classes)))
+    return np.round(np.array(feats), 6), np.array(labels)
+
+
+def _write_rows(path, feats, labels):
+    header = ",".join(f"f{i}" for i in range(feats.shape[1])) + ",label"
+    lines = [header] + [",".join(f"{v:.6f}" for v in row) + f",{label}"
+                        for row, label in zip(feats, labels)]
     path.write_text("\n".join(lines) + "\n")
+
+
+def _write_csv(path, n_rows=30, n_feat=8, n_classes=3, seed=0):
+    _write_rows(path, *_csv_rows(n_rows, n_feat, n_classes, seed))
+
+
+def _split_rows(n_rows, split=0.8, seed=0):
+    """The (train, val) row indices load_dataset draws for this seed."""
+    order = np.random.default_rng(seed).permutation(n_rows)
+    n_train = int(round(split * n_rows))
+    return order[:n_train], order[n_train:]
 
 
 def test_csv_split_sizes(tmp_path):
@@ -314,11 +357,36 @@ def test_csv_split_sizes(tmp_path):
 
 
 def test_csv_features_scaled_to_unit_interval(tmp_path):
+    # min-max scaling by the training rows: the training features span
+    # [0, 1] and the validation rows take the training rows' min and span
     path = tmp_path / "data.csv"
-    _write_csv(path)
+    feats, labels = _csv_rows()
+    _write_rows(path, feats, labels)
     task = load_dataset(str(path), seed=0)
-    full = np.vstack([task.x_train, task.x_val])
-    assert full.min() >= 0.0 and full.max() <= 1.0
+    train, val = _split_rows(len(labels))
+    assert np.array_equal(task.y_train, labels[train])
+    assert np.array_equal(task.y_val, labels[val])
+    assert np.array_equal(task.x_train.min(axis=0), np.zeros(feats.shape[1]))
+    assert np.array_equal(task.x_train.max(axis=0), np.ones(feats.shape[1]))
+    train_lo = feats[train].min(axis=0)
+    train_span = feats[train].max(axis=0) - train_lo
+    np.testing.assert_allclose(task.x_val, (feats[val] - train_lo) / train_span,
+                               rtol=0.0, atol=1e-12)
+
+
+def test_csv_validation_extreme_leaves_training_features_unchanged(tmp_path):
+    feats, labels = _csv_rows()
+    _, val = _split_rows(len(labels))
+    path = tmp_path / "data.csv"
+    _write_rows(path, feats, labels)
+    before = load_dataset(str(path), seed=0)
+    # one validation row moves far outside the range of every other row
+    feats[val[0], 0], feats[val[0], 1] = 1000.0, -1000.0
+    _write_rows(path, feats, labels)
+    after = load_dataset(str(path), seed=0)
+    assert np.array_equal(after.x_train, before.x_train)
+    assert np.array_equal(after.x_val[1:], before.x_val[1:])
+    assert after.x_val[0, 0] > 100.0 and after.x_val[0, 1] < -100.0
 
 
 def test_csv_malformed_row_names_row_number(tmp_path):
